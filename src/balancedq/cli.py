@@ -234,7 +234,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     if mode == "exact":
         value = exact_count(args.kind, args.n, args.q)
     else:
-        value = approx_count(args.kind, args.n, args.q)
+        try:
+            value = approx_count(args.kind, args.n, args.q)
+        except OverflowError:
+            raise InfeasibleParamsError(
+                f"the approximate {args.kind} count at n={args.n}, q={args.q} overflows "
+                "a double; use 'redundancy --approx' for its logarithm"
+            ) from None
     _scalar_out(args, {"kind": args.kind, "q": args.q, "n": args.n, "mode": mode}, value)
     return EXIT_OK
 

@@ -187,6 +187,14 @@ def test_count_approx(capsys):
     assert code == 2  # infeasible parity has no approximation
 
 
+def test_count_approx_overflow_is_infeasible(capsys):
+    code, out, err = run(capsys, "count", "--kind", "cb", "--q", "4", "--n", "2000", "--approx")
+    assert code == 2
+    assert out == ""
+    assert "overflows a double" in err and "redundancy --approx" in err
+    assert "Traceback" not in err
+
+
 def test_count_json(capsys):
     code, out, _ = run(
         capsys, "count", "--kind", "cpb", "--q", "4", "--n", "10", "--format", "json"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from balancedq import counting
 from balancedq.counting import (
     KINDS,
     RETAINED_MAX,
@@ -202,3 +203,66 @@ def test_charge_negation_symmetry(q, n, s):
 @settings(deadline=None)
 def test_polarity_negation_symmetry(q, n, p):
     assert polarity_count(n, q, p) == polarity_count(n, q, -p)
+
+
+def test_closed_form_matches_table_for_every_charge(monkeypatch):
+    tables = {q: [counting._charge_table(n, q) for n in range(61)] for q in range(2, 9)}
+    monkeypatch.setattr(counting, "RETAINED_MAX", -1)  # every length takes the closed form
+    for q, tabs in tables.items():
+        for n, tab in enumerate(tabs):
+            span = n * (q - 1)
+            for charge in range(-span - 3, span + 4):
+                inside = abs(charge) <= span and (charge + span) % 2 == 0
+                want = tab[(charge + span) // 2] if inside else 0
+                assert charge_count(n, q, charge) == want, (n, q, charge)
+
+
+def test_charge_count_beyond_retained_window_larger_alphabets():
+    # central trinomial coefficients: n T_n = (2n-1) T_{n-1} + 3(n-1) T_{n-2}
+    prev, cur = 1, 1
+    for n in range(2, 1001):
+        prev, cur = cur, ((2 * n - 1) * cur + 3 * (n - 1) * prev) // n
+        if n > RETAINED_MAX:
+            assert charge_count(n, 3, 0) == cur, n
+    # every charge just past the window, against the table stepped onwards
+    for q in range(3, 9):
+        tab = counting._charge_step(counting._charge_table(RETAINED_MAX, q), q)
+        n = RETAINED_MAX + 1
+        span = n * (q - 1)
+        got = [charge_count(n, q, c) for c in range(-span, span + 1, 2)]
+        assert got == list(tab), q
+
+
+def test_cpb_even_alphabet_is_binomial_times_half_alphabet_cb():
+    for q in (4, 6, 8):
+        for n in range(0, 401, 2):
+            assert count_cpb(n, q) == math.comb(n, n // 2) * count_cb(n, q // 2), (n, q)
+        assert count_cpb(401, q) == 0
+
+
+def test_cpb_odd_alphabet_matches_joint_census():
+    for q in (5, 7):
+        for n in range(0, 61):
+            assert count_cpb(n, q) == joint_census(n, q).cell(0, 0), (n, q)
+
+
+def _polarity_factorial_sum(n, q, polarity, fact):
+    """The trinomial sum with three factorials per term, as a reference."""
+    h, has_zero = q // 2, q % 2
+    total = 0
+    for jp in range(max(polarity, 0), (n + polarity) // 2 + 1):
+        jm = jp - polarity
+        z = n - jp - jm
+        if has_zero or z == 0:
+            total += fact[n] // (fact[jp] * fact[jm] * fact[z]) * h ** (jp + jm)
+    return total
+
+
+def test_polarity_count_matches_factorial_sum():
+    fact = [math.factorial(i) for i in range(301)]
+    lengths = list(range(0, 41)) + [97, 160, 161, 211, 299, 300]
+    for q in range(2, 9):
+        for n in lengths:
+            for p in range(-n - 1, n + 2):
+                want = _polarity_factorial_sum(n, q, p, fact)
+                assert polarity_count(n, q, p) == want, (n, q, p)
