@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alphabet import format_word, parse_word, symbols
 from .asymptotics import anr, approx_count, approx_redundancy
-from .codebook import CONSTRUCTIONS, CbSide, CpbSide, KnuthSide, PbSide, SbSide
+from .codebook import CONSTRUCTIONS, SPEC_OF_SIDE, SPECS
 from .codecs import CodecParams, Codeword, decode, encode
 from .counting import KINDS, exact_count, exact_redundancy
 from .errors import (
@@ -76,6 +76,16 @@ def _parse_codeword(text: str, q: int) -> Codeword:
     return Codeword(_parse_word_for(left, q), _parse_word_for(right, q))
 
 
+# every pinnable side-info field of any construction, and whether it has
+# one value per round (written as a ':'-separated list)
+_INJECT_FIELDS = {
+    f.name: (f, spec.rounds is not None)
+    for spec in SPECS.values()
+    for f in spec.fields
+    if f.arg is not None
+}
+
+
 def _parse_inject(text: str) -> Dict:
     """Parse an injection spec like 'a=-2,z=6' or 'i=3:3'."""
     out: Dict = {}
@@ -89,42 +99,37 @@ def _parse_inject(text: str) -> Dict:
             raise WordParseError(f"bad injection field {part!r}, expected name=value")
         if name in out:
             raise WordParseError(f"duplicate injection field {name!r}")
-        if name == "i":
+        if name not in _INJECT_FIELDS:
+            raise WordParseError(f"unknown injection field {name!r}")
+        field, per_round = _INJECT_FIELDS[name]
+        if per_round:
             try:
-                out["i"] = tuple(int(v) for v in val.split(":"))
+                out[name] = tuple(int(v) for v in val.split(":"))
             except ValueError as exc:
-                raise WordParseError(f"bad split list {val!r}, expected i=3:1:4") from exc
-        elif name == "nu":
-            if val not in ("+", "-"):
-                raise WordParseError(f"nu must be '+' or '-', got {val!r}")
-            out["nu"] = val
-        elif name in ("a", "z", "w", "xi"):
+                raise WordParseError(f"bad split list {val!r}, expected {name}=3:1:4") from exc
+        elif isinstance(field.values, tuple):
+            if val not in field.values:
+                allowed = " or ".join(map(repr, field.values))
+                raise WordParseError(f"{name} must be {allowed}, got {val!r}")
+            out[name] = val
+        else:
             try:
                 out[name] = int(val)
             except ValueError as exc:
                 raise WordParseError(f"injection field {name} needs an integer, got {val!r}") from exc
-        else:
-            raise WordParseError(f"unknown injection field {name!r}")
     return out
 
 
 def _side_fields(side) -> List[Tuple[str, object]]:
-    if isinstance(side, (KnuthSide, CbSide)):
-        return [("z", side.z)]
-    if isinstance(side, PbSide):
-        fields: List[Tuple[str, object]] = []
-        if side.a is not None:
-            fields.append(("a", side.a))
-        fields.append(("z", side.z))
-        return fields
-    if isinstance(side, CpbSide):
-        fields = []
-        if side.a is not None:
-            fields.append(("a", side.a))
-        fields.extend([("z", side.z), ("xi", side.xi), ("nu", side.nu), ("w", side.w)])
-        return fields
-    assert isinstance(side, SbSide)
-    return [("i", ":".join(str(i) for i, _, _ in side.rounds))]
+    """The pinnable fields the side info has, in --inject's name=value form."""
+    spec = SPEC_OF_SIDE[type(side)]
+    items = spec.items(side)
+    fields: List[Tuple[str, object]] = []
+    for col, field in enumerate(spec.fields):
+        values = items[col :: len(spec.fields)]
+        if field.arg is not None and values[0] is not None:
+            fields.append((field.name, ":".join(map(str, values)) if spec.rounds else values[0]))
+    return fields
 
 
 def _side_text(side) -> str:
@@ -132,8 +137,10 @@ def _side_text(side) -> str:
 
 
 def _side_json(side):
-    if isinstance(side, SbSide):
-        return {"rounds": [{"i": i, "m": m, "M": big} for i, m, big in side.rounds]}
+    spec = SPEC_OF_SIDE[type(side)]
+    if spec.rounds:
+        names = [f.name for f in spec.fields]
+        return {"rounds": [dict(zip(names, g)) for g in side.rounds]}
     return dict(_side_fields(side))
 
 

@@ -1,11 +1,18 @@
-"""Balanced prefix codebooks: side-info packing and enumerative coding.
+"""Construction specs, side-info packing and balanced prefix codebooks.
 
 Each encoder construction produces a small record of side information (a
 balancing index plus, depending on the construction, an offset symbol,
-mirror and side flags, or per-round split data).  The record is packed into
-a single integer with a fixed mixed-radix layout, and that integer is
-spelled as a balanced word of fixed length p via lexicographic enumerative
-coding, so the prefix obeys the same balance predicate as the payload.
+mirror and side flags, or per-round split data).  SPECS holds one Spec per
+construction, the single home of that record's layout: the side-info class,
+the balance kind its prefix and payload obey, and the ordered fields with
+the values a field's digit indexes for given (q, k).  side_info_space,
+pack and unpack here, the inject routing of codecs.encode and the CLI's
+side-info text all read the spec.
+
+The record is packed into a single integer with the spec's mixed-radix
+layout, and that integer is spelled as a balanced word of fixed length p
+via lexicographic enumerative coding, so the prefix obeys the same balance
+predicate as the payload.
 
 Rank/unrank order words lexicographically under the natural symbol order
 -q+1 < -q+3 < ... < q-1.
@@ -16,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .alphabet import (
     Word,
@@ -37,22 +44,12 @@ from .counting import (
 )
 from .errors import CapacityError, InfeasibleParamsError, InvalidIndexError
 
-CONSTRUCTIONS = ("knuth", "pb", "cb", "cpb", "sb")
-
-_PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
-
-
-def balance_kind(construction: str) -> str:
-    """Balance predicate guaranteed by a construction's prefix and payload."""
-    c = construction.lower()
-    if c not in CONSTRUCTIONS:
-        raise InfeasibleParamsError(f"unknown construction {construction!r}")
-    return "cb" if c == "knuth" else c
+PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
 
 
 @dataclass(frozen=True)
 class KnuthSide:
-    """Bipolar construction side info: the inversion point z."""
+    """Bipolar construction (pb at q=2) side info: the inversion point z."""
 
     z: int
 
@@ -103,10 +100,98 @@ class SbSide:
 SideInfo = Union[KnuthSide, PbSide, CbSide, CpbSide, SbSide]
 
 
+@dataclass(frozen=True)
+class Field:
+    """One side-info field: values is what a packed digit indexes, a tuple of
+    flags or a function of (q, k, round); a field that q lacks has the one
+    value None.  arg is the encoder keyword that pins the field ('' for its
+    own name, None for a field that is only reported)."""
+
+    name: str
+    values: Union[Tuple[str, ...], Callable[[int, int, Optional[int]], Sequence]]
+    arg: Optional[str] = ""
+
+
+@dataclass(frozen=True)
+class Spec:
+    """Side-info layout of one construction, fields most significant first.
+    rounds, when set, gives the round numbers for q: the fields form a group
+    repeated per round, kept as one tuple per round in the side's rounds."""
+
+    side: type
+    balance: str
+    fields: Tuple[Field, ...]
+    rounds: Optional[Callable[[int], Sequence[int]]] = None
+
+    def items(self, side: SideInfo) -> list:
+        """The side info's field values in digit order, round by round."""
+        if self.rounds:
+            return [x for group in side.rounds for x in group]
+        return [getattr(side, f.name) for f in self.fields]
+
+    def build(self, items: Sequence) -> SideInfo:
+        """Inverse of items."""
+        if self.rounds:
+            return self.side(tuple(zip(*[iter(items)] * len(self.fields))))
+        return self.side(**{f.name: x for f, x in zip(self.fields, items)})
+
+
+_OFFSET = Field("a", lambda q, k, v: symbols(q) if q % 2 else (None,))
+_POINT = Field("z", lambda q, k, v: range(k))
+
+
+def _round_symbols(q: int, k: int, v: Optional[int]) -> Sequence:
+    return sub_alphabet(q, v)
+
+
+SPECS = {
+    "knuth": Spec(KnuthSide, "cb", (_POINT,)),
+    "pb": Spec(PbSide, "pb", (_OFFSET, _POINT)),
+    "cb": Spec(CbSide, "cb", (Field("z", lambda q, k, v: range(q * k)),)),
+    "cpb": Spec(
+        CpbSide,
+        "cpb",
+        (
+            _OFFSET,
+            _POINT,
+            Field("xi", lambda q, k, v: range(2)),
+            Field("nu", ("+", "-")),
+            Field("w", lambda q, k, v: range((q // 2) * (k // 2))),
+        ),
+    ),
+    "sb": Spec(
+        SbSide,
+        "sb",
+        (
+            Field("i", lambda q, k, v: range(k + 1), "splits"),
+            Field("m", _round_symbols, None),
+            Field("M", _round_symbols, None),
+        ),
+        rounds=lambda q: range(1, q),
+    ),
+}
+
+CONSTRUCTIONS = tuple(SPECS)
+
+SPEC_OF_SIDE = {spec.side: spec for spec in SPECS.values()}
+
+
+def balance_kind(construction: str) -> str:
+    """Balance predicate guaranteed by a construction's prefix and payload."""
+    c = construction.lower()
+    if c not in SPECS:
+        raise InfeasibleParamsError(f"unknown construction {construction!r}")
+    return SPECS[c].balance
+
+
 def _check_construction_params(kind: str, q: int, k: int) -> str:
     kind = kind.lower()
-    if kind not in CONSTRUCTIONS:
+    if kind not in SPECS:
         raise InfeasibleParamsError(f"unknown construction {kind!r}")
+    if type(q) is not int or type(k) is not int:  # bools and floats are refused too
+        raise InfeasibleParamsError(
+            f"alphabet order and data length must be integers, got q={q!r}, k={k!r}"
+        )
     if q < 2:
         raise InfeasibleParamsError(f"alphabet order must be >= 2, got {q}")
     if kind == "knuth":
@@ -136,20 +221,22 @@ def _check_construction_params(kind: str, q: int, k: int) -> str:
     return kind
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _layout(kind: str, q: int, k: int) -> tuple:
+    """(spec, (field, values) of every packed digit, most significant first,
+    side-info space) of a valid (kind, q, k)."""
+    spec = SPECS[_check_construction_params(kind, q, k)]
+    layout = tuple(
+        (f, f.values if isinstance(f.values, tuple) else f.values(q, k, v))
+        for v in (spec.rounds(q) if spec.rounds else (None,))
+        for f in spec.fields
+    )
+    return spec, layout, math.prod(len(values) for _, values in layout)
+
+
 def side_info_space(kind: str, q: int, k: int) -> int:
     """Number of distinct packed side-info values P for a construction."""
-    kind = _check_construction_params(kind, q, k)
-    if kind == "knuth":
-        return k
-    if kind == "pb":
-        return k if q % 2 == 0 else q * k
-    if kind == "cb":
-        return q * k
-    if kind == "cpb":
-        base = k * 2 * 2 * ((q // 2) * (k // 2))
-        return base if q % 2 == 0 else q * base
-    # sb: (k+1) splits and two sub-alphabet symbols per round
-    return (k + 1) ** (q - 1) * math.factorial(q) ** 2
+    return _layout(kind, q, k)[2]
 
 
 @dataclass(frozen=True)
@@ -169,133 +256,48 @@ class PrefixPlan:
     length: int
 
 
-@lru_cache(maxsize=4096)
+# typed, like _layout, so that a float or bool k never hits the cached plan
+# of an int
+@lru_cache(maxsize=4096, typed=True)
 def plan(kind: str, q: int, k: int) -> PrefixPlan:
     """Compute the prefix plan for a construction."""
     kind = _check_construction_params(kind, q, k)
     space = side_info_space(kind, q, k)
     bkind = balance_kind(kind)
-    if bkind == "sb":
-        start = step = q
-    elif q % 2 == 0:
-        start = step = 2
-    else:
-        start, step = 1, 1
-    p = start
+    p = 1  # lengths with no balanced words count 0 and are passed over
     while exact_count(bkind, p, q) < space:
-        p += step
+        p += 1
     return PrefixPlan(kind, q, k, space, math.log(space) / math.log(q), p)
-
-
-def _radices(kind: str, q: int, k: int) -> Tuple[Tuple[str, int], ...]:
-    """Mixed-radix field layout, most significant first."""
-    if kind == "knuth":
-        return (("z", k),)
-    if kind == "pb":
-        if q % 2 == 0:
-            return (("z", k),)
-        return (("a", q), ("z", k))
-    if kind == "cb":
-        return (("z", q * k),)
-    if kind == "cpb":
-        w_space = (q // 2) * (k // 2)
-        fields = [("z", k), ("xi", 2), ("nu", 2), ("w", w_space)]
-        if q % 2:
-            fields.insert(0, ("a", q))
-        return tuple(fields)
-    raise InfeasibleParamsError(f"no flat field layout for construction {kind!r}")
 
 
 def pack(side: SideInfo, kind: str, q: int, k: int) -> int:
     """Pack side info into its mixed-radix integer in [0, P)."""
-    kind = _check_construction_params(kind, q, k)
-    syms = symbols(q)
-    if kind == "sb":
-        if not isinstance(side, SbSide) or len(side.rounds) != q - 1:
-            raise InvalidIndexError(f"expected {q - 1} symbol-construction rounds")
-        value = 0
-        for v, (i_v, m_v, big_m_v) in enumerate(side.rounds, start=1):
-            sub = sub_alphabet(q, v)
-            if not 0 <= i_v <= k:
-                raise InvalidIndexError(f"round {v}: split {i_v} outside 0..{k}")
-            if m_v not in sub or big_m_v not in sub:
-                raise InvalidIndexError(f"round {v}: symbols outside the sub-alphabet")
-            value = value * (k + 1) + i_v
-            value = value * len(sub) + sub.index(m_v)
-            value = value * len(sub) + sub.index(big_m_v)
-        return value
-    fields = dict(_field_values(side, kind, q))
+    spec, layout, _ = _layout(kind, q, k)
+    if not isinstance(side, spec.side):
+        raise InvalidIndexError(f"expected {spec.side.__name__}, got {type(side).__name__}")
+    items = spec.items(side)
+    width = len(spec.fields)
+    if len(items) != len(layout) or (spec.rounds and {len(g) for g in side.rounds} != {width}):
+        raise InvalidIndexError(f"expected {len(layout) // width} group(s) of {width} values")
     value = 0
-    for name, radix in _radices(kind, q, k):
-        item = fields[name]
-        if name == "a":
-            if item not in syms:
-                raise InvalidIndexError(f"offset symbol {item} is not in the alphabet")
-            item = syms.index(item)
-        if name == "nu":
-            if item not in ("+", "-"):
-                raise InvalidIndexError(f"side flag must be '+' or '-', got {item!r}")
-            item = 0 if item == "+" else 1
-        if not 0 <= item < radix:
-            raise InvalidIndexError(f"field {name}={item} outside 0..{radix - 1}")
-        value = value * radix + item
+    for (field, values), item in zip(layout, items):
+        try:
+            value = value * len(values) + values.index(item)
+        except ValueError:
+            raise InvalidIndexError(f"{field.name}={item!r} is not one of {values!r}") from None
     return value
-
-
-def _field_values(side: SideInfo, kind: str, q: int):
-    if kind == "knuth":
-        if not isinstance(side, KnuthSide):
-            raise InvalidIndexError(f"expected KnuthSide, got {type(side).__name__}")
-        return [("z", side.z)]
-    if kind == "pb":
-        if not isinstance(side, PbSide):
-            raise InvalidIndexError(f"expected PbSide, got {type(side).__name__}")
-        if (side.a is None) != (q % 2 == 0):
-            raise InvalidIndexError("offset symbol is required exactly when q is odd")
-        return [("z", side.z)] if q % 2 == 0 else [("a", side.a), ("z", side.z)]
-    if kind == "cb":
-        if not isinstance(side, CbSide):
-            raise InvalidIndexError(f"expected CbSide, got {type(side).__name__}")
-        return [("z", side.z)]
-    if not isinstance(side, CpbSide):
-        raise InvalidIndexError(f"expected CpbSide, got {type(side).__name__}")
-    if (side.a is None) != (q % 2 == 0):
-        raise InvalidIndexError("offset symbol is required exactly when q is odd")
-    out = [("z", side.z), ("xi", side.xi), ("nu", side.nu), ("w", side.w)]
-    if q % 2:
-        out.insert(0, ("a", side.a))
-    return out
 
 
 def unpack(value: int, kind: str, q: int, k: int) -> SideInfo:
     """Inverse of pack; value must lie in [0, P)."""
-    kind = _check_construction_params(kind, q, k)
-    space = side_info_space(kind, q, k)
+    spec, layout, space = _layout(kind, q, k)
     if not 0 <= value < space:
         raise InvalidIndexError(f"packed side info {value} outside 0..{space - 1}")
-    syms = symbols(q)
-    if kind == "sb":
-        rounds = []
-        for v in range(q - 1, 0, -1):
-            sub = sub_alphabet(q, v)
-            value, big_idx = divmod(value, len(sub))
-            value, m_idx = divmod(value, len(sub))
-            value, i_v = divmod(value, k + 1)
-            rounds.append((i_v, sub[m_idx], sub[big_idx]))
-        return SbSide(tuple(reversed(rounds)))
-    fields = {}
-    for name, radix in reversed(_radices(kind, q, k)):
-        value, item = divmod(value, radix)
-        fields[name] = item
-    if kind == "knuth":
-        return KnuthSide(fields["z"])
-    if kind == "pb":
-        a = None if q % 2 == 0 else syms[fields["a"]]
-        return PbSide(fields["z"], a)
-    if kind == "cb":
-        return CbSide(fields["z"])
-    a = None if q % 2 == 0 else syms[fields["a"]]
-    return CpbSide(fields["z"], fields["xi"], "+" if fields["nu"] == 0 else "-", fields["w"], a)
+    items = []
+    for _, values in reversed(layout):
+        value, digit = divmod(value, len(values))
+        items.append(values[digit])
+    return spec.build(items[::-1])
 
 
 def _multinomial(r: int, budgets: Tuple[int, ...]) -> int:
@@ -307,62 +309,60 @@ def _multinomial(r: int, budgets: Tuple[int, ...]) -> int:
     return out
 
 
-def _completions(kind: str, q: int, r: int, state) -> int:
-    if kind == "cb":
-        return charge_count(r, q, state)
-    if kind == "pb":
-        return polarity_count(r, q, state)
-    if kind == "cpb":
-        return joint_count(r, q, state[0], state[1])
-    return _multinomial(r, state)
+def _sb_step(budgets: Tuple[int, ...], s: int) -> Tuple[int, ...]:
+    i = (s + len(budgets) - 1) // 2
+    return budgets[:i] + (budgets[i] - 1,) + budgets[i + 1 :]
 
 
-def _initial_state(kind: str, q: int, n: int):
-    if kind == "cb":
-        return 0
-    if kind == "pb":
-        return 0
-    if kind == "cpb":
-        return (0, 0)
-    return (n // q,) * q
+# How rank/unrank walk the words of each balance kind: start(q, n) is the
+# state of the empty prefix, step(state, s) the state after one more symbol
+# s, and capped marks the kinds that read the charge tables, resident only
+# up to RETAINED_MAX.
+_WALKS = {
+    "cb": (lambda q, n: 0, lambda c, s: c - s, True),
+    "pb": (lambda q, n: 0, lambda p, s: p - (s > 0) + (s < 0), False),
+    "cpb": (lambda q, n: (0, 0), lambda cp, s: (cp[0] - s, cp[1] - (s > 0) + (s < 0)), True),
+    "sb": (lambda q, n: (n // q,) * q, _sb_step, False),
+}
 
 
-def _advance(kind: str, q: int, state, s: int):
-    sign = (s > 0) - (s < 0)
-    if kind == "cb":
-        return state - s
-    if kind == "pb":
-        return state - sign
-    if kind == "cpb":
-        return (state[0] - s, state[1] - sign)
-    idx = (s + q - 1) // 2
-    return state[:idx] + (state[idx] - 1,) + state[idx + 1 :]
-
-
-def _check_rank_capacity(kind: str, n: int) -> None:
-    if kind in ("cb", "cpb") and n > RETAINED_MAX:
+def _ranking(kind: str, n: int) -> tuple:
+    """(start, step, count) of kind's walk over words of length n, where
+    count(r, q, state) is the number of balanced completions of r symbols."""
+    start, step, capped = _WALKS[kind]
+    if capped and n > RETAINED_MAX:
         raise CapacityError(
             f"enumerative coding of charge-constrained words supports n <= {RETAINED_MAX}"
         )
+    # read at call time, so that a caller may rebind the counting functions
+    # (the benchmark's tracer does)
+    counts = {
+        "cb": charge_count,
+        "pb": polarity_count,
+        "cpb": lambda r, q, cp: joint_count(r, q, cp[0], cp[1]),
+        "sb": lambda r, q, budgets: _multinomial(r, budgets),
+    }
+    return start, step, counts[kind]
 
 
 def rank(word: Sequence[int], kind: str, q: int) -> int:
     """Lexicographic index of word among all kind-balanced words of its length."""
     kind = balance_kind(kind)
     w = validate_word(word, q)
-    if not _PREDICATES[kind](w, q):
+    if not PREDICATES[kind](w, q):
         raise InvalidIndexError(f"word is not {kind}-balanced, cannot rank")
     n = len(w)
-    _check_rank_capacity(kind, n)
-    state = _initial_state(kind, q, n)
+    start, step, count = _ranking(kind, n)
+    syms = symbols(q)
+    state = start(q, n)
     index = 0
     for i, x in enumerate(w):
         r = n - i - 1
-        for s in symbols(q):
+        for s in syms:
             if s >= x:
                 break
-            index += _completions(kind, q, r, _advance(kind, q, state, s))
-        state = _advance(kind, q, state, x)
+            index += count(r, q, step(state, s))
+        state = step(state, x)
     return index
 
 
@@ -374,14 +374,15 @@ def unrank(index: int, n: int, kind: str, q: int) -> Word:
         raise InvalidIndexError(
             f"index {index} outside 0..{total - 1} for {kind}-balanced words of length {n}"
         )
-    _check_rank_capacity(kind, n)
-    state = _initial_state(kind, q, n)
+    start, step, count = _ranking(kind, n)
+    syms = symbols(q)
+    state = start(q, n)
     out = []
     for i in range(n):
         r = n - i - 1
-        for s in symbols(q):
-            nxt = _advance(kind, q, state, s)
-            c = _completions(kind, q, r, nxt)
+        for s in syms:
+            nxt = step(state, s)
+            c = count(r, q, nxt)
             if index < c:
                 out.append(s)
                 state = nxt

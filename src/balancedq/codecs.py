@@ -1,29 +1,45 @@
 """Fixed-length balancing encoders and decoders.
 
-Five constructions, one per balance notion plus the classic bipolar case:
+Four balancing constructions, one per balance notion, plus the classic
+bipolar case:
 
-- knuth: q=2, invert the first z symbols so the word sums to zero.
 - pb:    shift by an offset symbol (odd q only) so the nonzero count is
          even, then invert the polarity of the first z symbols.
+- knuth: Knuth's bipolar code, which is pb at q=2 (no offset; inverting
+         the first z symbols makes the word sum to zero).  It keeps its
+         own name and side-info class, KnuthSide.
 - cb:    add one of q*k candidate balancing sequences symbol-wise mod 2q.
 - cpb:   polarity-balance first, optionally mirror the positive values,
          then add a balancing sequence to one side (mod within that side).
 - sb:    q-1 rounds; round v fixes the count of the round's lowest symbol
          at k/q by rotating a split of the sub-alphabet positions.
 
+cb and cpb share one balancing-sequence transform and one sliding index
+search; they differ in the positions the sequence covers and in the
+sub-alphabet it wraps around.
+
 Every encoder returns the payload plus a side-info record; the prefix is
-the side info spelled as a balanced word (see codebook).  Encoders pick
-the smallest valid index by default; any valid index may be injected
-instead and is verified, so decoders never depend on canonical choice.
+the side info spelled as a balanced word (see codebook, whose SPECS give
+each record's layout).  Encoders pick the smallest valid index by default;
+any valid index may be injected instead and is verified, so decoders never
+depend on canonical choice.  Decoding is strict: a payload that fails the
+construction's balance predicate, or cpb side info that the encoder could
+not have produced for the payload, raises DecodeError.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Optional, Sequence, Tuple
 
 from .alphabet import Word, is_cb, is_pb, sub_alphabet, symbols, validate_word
 from .codebook import (
+    PREDICATES,
+    SPECS,
     CbSide,
     CpbSide,
     KnuthSide,
@@ -72,18 +88,10 @@ class Codeword:
         return self.prefix + self.payload
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _reduce(value: int, lo: int, modulus: int) -> int:
-    # land on the unique alphabet element congruent to value (step-2 grids
-    # stay aligned because value - lo is always even here)
-    return lo + (value - lo) % modulus
-
-
 def _reduce_full(value: int, q: int) -> int:
-    return _reduce(value, -q + 1, 2 * q)
+    # land on the unique alphabet element congruent to value (step-2 grids
+    # stay aligned because value + q - 1 is always even here)
+    return (value + q - 1) % (2 * q) - q + 1
 
 
 def balancing_sequence(i: int, length: int, radix: int) -> Word:
@@ -102,47 +110,10 @@ def balancing_sequence(i: int, length: int, radix: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# bipolar (q = 2)
+# polarity balancing, and the bipolar case q = 2
 
 
-def _apply_knuth(u: Word, z: int) -> Word:
-    return tuple(-x for x in u[:z]) + u[z:]
-
-
-def find_knuth_index(u: Sequence[int]) -> int:
-    """Smallest z in [0, k) such that inverting u[:z] gives charge zero."""
-    u = tuple(u)
-    total = sum(u)
-    running = 0
-    for z in range(len(u)):
-        if total - 2 * running == 0:
-            return z
-        running += u[z]
-    raise BalancingInvariantError("no bipolar balancing point found")
-
-
-def knuth_encode(
-    u: Sequence[int], params: CodecParams, z: Optional[int] = None
-) -> Tuple[Codeword, KnuthSide]:
-    u = _checked_payload(u, params, "knuth")
-    if z is None:
-        z = find_knuth_index(u)
-    elif not (0 <= z < params.k and sum(_apply_knuth(u, z)) == 0):
-        raise InvalidIndexError(f"z={z} does not balance this word")
-    side = KnuthSide(z)
-    return Codeword(encode_prefix(side, params.plan), _apply_knuth(u, z)), side
-
-
-def knuth_decode(cw: Codeword, params: CodecParams) -> Word:
-    side = _checked_prefix(cw, params, "knuth")
-    return _apply_knuth(cw.payload, side.z)
-
-
-# ---------------------------------------------------------------------------
-# polarity balancing
-
-
-def _apply_pb_flip(u: Word, z: int) -> Word:
+def _flip(u: Word, z: int) -> Word:
     return tuple(-x for x in u[:z]) + u[z:]
 
 
@@ -160,21 +131,26 @@ def find_pb_offset(u: Sequence[int], q: int) -> int:
     raise BalancingInvariantError("no feasible offset symbol found")
 
 
-def find_pb_index(u: Sequence[int]) -> int:
+def find_pb_index(u: Sequence[int], q: Optional[int] = None) -> int:
     """Smallest z in [0, k) such that inverting the first z polarities
-    balances the word."""
-    u = tuple(u)
-    total = sum(_sign(x) for x in u)
-    running = 0
-    for z in range(len(u)):
-        if total - 2 * running == 0:
-            return z
-        running += _sign(u[z])
+    balances the word.  At q=2 the symbols are their own polarities."""
+    signs = u if q == 2 else [(x > 0) - (x < 0) for x in u]
+    total = sum(signs)
+    # inverting the first z polarities subtracts twice their sum; a match
+    # at z = k would mean total = 0, which z = 0 already matches
+    if total % 2 == 0:
+        with suppress(ValueError):
+            return operator.indexOf(accumulate(signs, initial=0), total // 2)
     raise BalancingInvariantError("no polarity balancing point found")
 
 
+def find_knuth_index(u: Sequence[int]) -> int:
+    """Smallest z in [0, k) such that inverting u[:z] gives charge zero."""
+    return find_pb_index(tuple(u), 2)
+
+
 def _pb_stage(
-    u: Word, q: int, k: int, a: Optional[int], z: Optional[int]
+    u: Word, q: int, k: int, a: Optional[int], z: Optional[int], goal: str = "polarity-balance"
 ) -> Tuple[Word, Optional[int], int]:
     """Shared offset-and-flip stage; returns (balanced word, a, z)."""
     if q % 2 == 0:
@@ -188,10 +164,18 @@ def _pb_stage(
             raise InvalidIndexError(f"offset a={a} has the wrong count parity")
         shifted = tuple(_reduce_full(x - a, q) for x in u)
     if z is None:
-        z = find_pb_index(shifted)
-    elif not (0 <= z < k and is_pb(_apply_pb_flip(shifted, z), q)):
-        raise InvalidIndexError(f"z={z} does not polarity-balance this word")
-    return _apply_pb_flip(shifted, z), a, z
+        z = find_pb_index(shifted, q)
+    elif not (0 <= z < k and is_pb(_flip(shifted, z), q)):
+        raise InvalidIndexError(f"z={z} does not {goal} this word")
+    return _flip(shifted, z), a, z
+
+
+def _pb_unstage(word: Word, q: int, z: int, a: Optional[int]) -> Word:
+    """Inverse of _pb_stage."""
+    word = _flip(word, z)
+    if a is None:
+        return word
+    return tuple(_reduce_full(x + a, q) for x in word)
 
 
 def pb_encode(
@@ -208,119 +192,109 @@ def pb_encode(
 
 def pb_decode(cw: Codeword, params: CodecParams) -> Word:
     side = _checked_prefix(cw, params, "pb")
-    shifted = _apply_pb_flip(cw.payload, side.z)
-    if side.a is None:
-        return shifted
-    return tuple(_reduce_full(x + side.a, params.q) for x in shifted)
+    return _pb_unstage(cw.payload, params.q, side.z, side.a)
+
+
+def knuth_encode(
+    u: Sequence[int], params: CodecParams, z: Optional[int] = None
+) -> Tuple[Codeword, KnuthSide]:
+    """pb_encode at q=2, with its side info as KnuthSide."""
+    u = _checked_payload(u, params, "knuth")
+    balanced, _, z = _pb_stage(u, 2, params.k, None, z, "balance")
+    side = KnuthSide(z)
+    return Codeword(encode_prefix(side, params.plan), balanced), side
+
+
+def knuth_decode(cw: Codeword, params: CodecParams) -> Word:
+    """pb_decode at q=2."""
+    side = _checked_prefix(cw, params, "knuth")
+    return _pb_unstage(cw.payload, 2, side.z, None)
 
 
 # ---------------------------------------------------------------------------
-# charge balancing
+# balancing sequences: charge balancing, and the side stage of cpb
 
 
-def _apply_cb(u: Word, z: int, q: int, k: int) -> Word:
-    seq = balancing_sequence(z, k, q)
-    return tuple(_reduce_full(x + b, q) for x, b in zip(u, seq))
+def _add_sequence(
+    word: Word, positions: Sequence[int], lo: int, mod: int, z: int, sign: int = 1
+) -> Word:
+    """Add sign times balancing sequence z, spread over positions, to word.
+
+    Each touched symbol wraps into the sub-alphabet lo, lo+2, ...,
+    lo+mod-2, which has mod/2 symbols and so mod/2 sequence blocks.
+    """
+    if not positions:
+        return word
+    out = list(word)
+    for i, b in zip(positions, balancing_sequence(z, len(positions), mod // 2)):
+        out[i] = lo + (out[i] + sign * b - lo) % mod
+    return tuple(out)
+
+
+def _find_sequence(
+    word: Sequence[int], positions: Sequence[int], lo: int, mod: int, target: int
+) -> int:
+    """Smallest z whose balancing sequence, added as in _add_sequence,
+    brings the sum over positions to target."""
+    cur = [lo + (word[i] - lo) % mod for i in positions]
+    n = len(cur)
+    for block in range(mod // 2):
+        # sequence block*n + g adds 2 more on the first g positions than
+        # sequence block*n does
+        nxt = [lo + (x + 2 - lo) % mod for x in cur]
+        running = accumulate(map(operator.sub, nxt[: n - 1], cur), initial=sum(cur))
+        with suppress(ValueError):
+            return block * n + operator.indexOf(running, target)
+        cur = nxt
+    raise BalancingInvariantError("no balancing sequence reaches the target sum")
 
 
 def find_cb_index(u: Sequence[int], q: int) -> int:
     """Smallest z in [0, q*k) whose balancing sequence zeroes the charge."""
-    u = tuple(u)
-    k = len(u)
-    for j in range(q):
-        delta = 2 * j
-        vals = [_reduce_full(x + delta, q) for x in u]
-        s = sum(vals)
-        if s == 0:
-            return j * k
-        for g in range(1, k):
-            rep = _reduce_full(u[g - 1] + delta + 2, q)
-            s += rep - vals[g - 1]
-            if s == 0:
-                return j * k + g
-    raise BalancingInvariantError("no charge balancing sequence found")
+    return _find_sequence(u, range(len(u)), -q + 1, 2 * q, 0)
 
 
 def cb_encode(
     u: Sequence[int], params: CodecParams, z: Optional[int] = None
 ) -> Tuple[Codeword, CbSide]:
     u = _checked_payload(u, params, "cb")
+    q, k = params.q, params.k
     if z is None:
-        z = find_cb_index(u, params.q)
-    elif not (0 <= z < params.q * params.k and is_cb(_apply_cb(u, z, params.q, params.k), params.q)):
+        z = find_cb_index(u, q)
+    payload = _add_sequence(u, range(k), -q + 1, 2 * q, z) if 0 <= z < q * k else None
+    if payload is None or not is_cb(payload, q):
         raise InvalidIndexError(f"z={z} does not charge-balance this word")
     side = CbSide(z)
-    return Codeword(encode_prefix(side, params.plan), _apply_cb(u, z, params.q, params.k)), side
+    return Codeword(encode_prefix(side, params.plan), payload), side
 
 
 def cb_decode(cw: Codeword, params: CodecParams) -> Word:
     side = _checked_prefix(cw, params, "cb")
-    q, k = params.q, params.k
-    seq = balancing_sequence(side.z, k, q)
-    return tuple(_reduce_full(x - b, q) for x, b in zip(cw.payload, seq))
+    q = params.q
+    return _add_sequence(cw.payload, range(params.k), -q + 1, 2 * q, side.z, -1)
 
 
 # ---------------------------------------------------------------------------
 # joint charge and polarity balancing
 
 
-def _side_bounds(q: int, positive: bool) -> Tuple[int, int]:
-    # (lowest element, modulus) of the positive or negative half-alphabet
-    h = q // 2
-    if positive:
-        return (1 if q % 2 == 0 else 2), 2 * h
-    return -q + 1, 2 * h
+def _side(word: Word, q: int, nu: str) -> Tuple[list, int, int]:
+    """Positions of the nu side's symbols in word, and the lowest symbol and
+    the modulus of that half-alphabet."""
+    sign = 1 if nu == "+" else -1
+    lo = 1 + q % 2 if sign > 0 else -q + 1
+    return [i for i, x in enumerate(word) if sign * x > 0], lo, 2 * (q // 2)
 
 
-def _mirror_positive(x: int, q: int) -> int:
-    return 2 * ((q + 1) // 2) - x
-
-
-def _check_cpb_flags(
-    want_xi: Optional[int], want_nu: Optional[str], xi: int, nu: str
-) -> None:
-    # xi and nu are derived, not free; injected values must agree
-    if want_xi is not None and want_xi != xi:
-        raise InvalidIndexError(f"xi={want_xi} does not match the derived flag {xi}")
-    if want_nu is not None and want_nu != nu:
-        raise InvalidIndexError(f"nu={want_nu!r} does not match the derived side {nu!r}")
-
-
-def _apply_cpb_w(word: Word, nu: str, w: int, q: int) -> Word:
-    positive = nu == "+"
-    idx = [i for i, x in enumerate(word) if (x > 0) == positive and x != 0]
-    k1 = len(idx)
-    if k1 == 0:
-        return word
-    lo, mod = _side_bounds(q, positive)
-    j = 2 * (w // k1)
-    g = w % k1
-    out = list(word)
-    for pos, i in enumerate(idx):
-        b = j + 2 if pos < g else j
-        out[i] = _reduce(word[i] + b, lo, mod)
-    return tuple(out)
+def _mirror_positive(word: Word, q: int) -> Word:
+    top = 2 * ((q + 1) // 2)
+    return tuple(top - x if x > 0 else x for x in word)
 
 
 def find_cpb_index(word: Sequence[int], nu: str, q: int, target: int) -> int:
     """Smallest w whose balancing sequence drives the nu-side sum to target."""
     word = tuple(word)
-    positive = nu == "+"
-    vals = [x for x in word if (x > 0) == positive and x != 0]
-    k1 = len(vals)
-    lo, mod = _side_bounds(q, positive)
-    for j_half in range(q // 2):
-        delta = 2 * j_half
-        cur = [_reduce(x + delta, lo, mod) for x in vals]
-        s = sum(cur)
-        if s == target:
-            return j_half * k1
-        for g in range(1, k1):
-            rep = _reduce(vals[g - 1] + delta + 2, lo, mod)
-            s += rep - cur[g - 1]
-            if s == target:
-                return j_half * k1 + g
-    raise BalancingInvariantError("no side balancing sequence found")
+    return _find_sequence(word, *_side(word, q, nu), target)
 
 
 def cpb_encode(
@@ -337,59 +311,48 @@ def cpb_encode(
     want_xi, want_nu = xi, nu
     y, a, z = _pb_stage(u, q, params.k, a, z)
     k1 = sum(1 for x in y if x > 0)
-    if k1 == 0:
-        if w not in (None, 0):
-            raise InvalidIndexError("w must be 0 when the word has no nonzero symbols")
-        _check_cpb_flags(want_xi, want_nu, 0, "+")
-        side = CpbSide(z, 0, "+", 0, a)
-        return Codeword(encode_prefix(side, params.plan), y), side
     pos_sum = sum(x for x in y if x > 0)
     neg_sum = -sum(x for x in y if x < 0)
     pivot = k1 * ((q + 1) // 2)
     xi = 1 if (pos_sum < pivot < neg_sum or neg_sum < pivot < pos_sum) else 0
     if xi:
-        y = tuple(_mirror_positive(x, q) if x > 0 else x for x in y)
+        y = _mirror_positive(y, q)
         pos_sum = sum(x for x in y if x > 0)
-    # after the mirror both side sums sit on the same side of the pivot
+    # after the mirror both side sums sit on the same side of the pivot; a
+    # word without nonzero symbols gets xi=0, nu='+' and w=0
     nu = "+" if (pos_sum >= neg_sum >= pivot or pos_sum <= neg_sum <= pivot) else "-"
-    _check_cpb_flags(want_xi, want_nu, xi, nu)
+    # xi and nu are derived, not free; injected values must agree
+    if want_xi is not None and want_xi != xi:
+        raise InvalidIndexError(f"xi={want_xi} does not match the derived flag {xi}")
+    if want_nu is not None and want_nu != nu:
+        raise InvalidIndexError(f"nu={want_nu!r} does not match the derived side {nu!r}")
     target = neg_sum if nu == "+" else -pos_sum
+    positions, lo, mod = _side(y, q, nu)
+    w_space = max((q // 2) * k1, 1)
     if w is None:
         w = find_cpb_index(y, nu, q, target)
-    else:
-        if not 0 <= w < (q // 2) * k1:
-            raise InvalidIndexError(f"w={w} outside 0..{(q // 2) * k1 - 1}")
-        trial = _apply_cpb_w(y, nu, w, q)
-        side_sum = sum(x for x in trial if (x > 0) == (nu == "+") and x != 0)
-        if side_sum != target:
-            raise InvalidIndexError(f"w={w} does not balance the {nu} side")
-    x_word = _apply_cpb_w(y, nu, w, q)
+    elif not 0 <= w < w_space:
+        raise InvalidIndexError(f"w={w} outside 0..{w_space - 1}")
+    payload = _add_sequence(y, positions, lo, mod, w)
+    if sum(payload[i] for i in positions) != target:
+        raise InvalidIndexError(f"w={w} does not balance the {nu} side")
     side = CpbSide(z, xi, nu, w, a)
-    return Codeword(encode_prefix(side, params.plan), x_word), side
+    return Codeword(encode_prefix(side, params.plan), payload), side
 
 
 def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
     side = _checked_prefix(cw, params, "cpb")
     q = params.q
-    positive = side.nu == "+"
-    word = cw.payload
-    idx = [i for i, x in enumerate(word) if (x > 0) == positive and x != 0]
-    k1 = len(idx)
-    if k1:
-        lo, mod = _side_bounds(q, positive)
-        j = 2 * (side.w // k1)
-        g = side.w % k1
-        out = list(word)
-        for pos, i in enumerate(idx):
-            b = j + 2 if pos < g else j
-            out[i] = _reduce(word[i] - b, lo, mod)
-        word = tuple(out)
+    positions, lo, mod = _side(cw.payload, q, side.nu)
+    # the encoder's side stage covers the k1 positive (as many as negative)
+    # symbols, with w < (q//2)*k1; with k1 = 0 it emits only xi=0, nu='+', w=0
+    k1 = len(positions)
+    if not (side.w < (q // 2) * k1 if k1 else (side.xi, side.nu, side.w) == (0, "+", 0)):
+        raise DecodeError(f"side info {side} was not produced for this payload")
+    word = _add_sequence(cw.payload, positions, lo, mod, side.w, -1)
     if side.xi:
-        word = tuple(_mirror_positive(x, q) if x > 0 else x for x in word)
-    shifted = _apply_pb_flip(word, side.z)
-    if side.a is None:
-        return shifted
-    return tuple(_reduce_full(x + side.a, q) for x in shifted)
+        word = _mirror_positive(word, q)
+    return _pb_unstage(word, q, side.z, side.a)
 
 
 # ---------------------------------------------------------------------------
@@ -399,43 +362,27 @@ def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
 def _sb_round_stats(word: Word, q: int, v: int) -> Tuple[int, int]:
     """(least, most) frequent symbols of round v's sub-alphabet; ties take
     the smallest symbol for the minimum and the largest for the maximum."""
+    counts = Counter(word)
     sub = sub_alphabet(q, v)
-    counts = {s: 0 for s in sub}
-    for x in word:
-        if x in counts:
-            counts[x] += 1
-    m_v = min(sub, key=lambda s: (counts[s], sub.index(s)))
-    big = max(sub, key=lambda s: (counts[s], sub.index(s)))
-    return m_v, big
+    return min(sub, key=lambda s: (counts[s], s)), max(sub, key=lambda s: (counts[s], s))
 
 
-def _sb_apply_round(word: Word, q: int, v: int, i_v: int, m_v: int, big_m: int) -> Word:
-    sub = sub_alphabet(q, v)
-    lowest = sub[0]
-    lo, mod = lowest, 2 * len(sub)
-    d_low = lowest - m_v
-    d_high = lowest - big_m
-    out = []
-    for i, x in enumerate(word):
-        if x in sub:
-            out.append(_reduce(x + (d_low if i < i_v else d_high), lo, mod))
-        else:
-            out.append(x)
-    return tuple(out)
+def _sb_round(
+    word: Word, q: int, v: int, i_v: int, m_v: int, big_m: int, sign: int = 1
+) -> Word:
+    """Round v of the symbol construction (sign=1), or its inverse (sign=-1).
 
-
-def _sb_unapply_round(word: Word, q: int, v: int, i_v: int, m_v: int, big_m: int) -> Word:
+    Sub-alphabet symbols before the split i_v rotate by lowest - m_v, the
+    rest by lowest - big_m; symbols below the sub-alphabet stay.
+    """
     sub = sub_alphabet(q, v)
     lo, mod = sub[0], 2 * len(sub)
-    d_low = sub[0] - m_v
-    d_high = sub[0] - big_m
-    out = []
-    for i, x in enumerate(word):
-        if x in sub:
-            out.append(_reduce(x - (d_low if i < i_v else d_high), lo, mod))
-        else:
-            out.append(x)
-    return tuple(out)
+    d_low = sign * (lo - m_v)
+    d_high = sign * (lo - big_m)
+    return tuple(
+        lo + (x + (d_low if i < i_v else d_high) - lo) % mod if x >= lo else x
+        for i, x in enumerate(word)
+    )
 
 
 def find_sb_split(word: Sequence[int], q: int, v: int, m: int) -> int:
@@ -443,19 +390,11 @@ def find_sb_split(word: Sequence[int], q: int, v: int, m: int) -> int:
     round's lowest symbol after the rotation."""
     word = tuple(word)
     m_v, big_m = _sb_round_stats(word, q, v)
-    sub = set(sub_alphabet(q, v))
-    count = sum(1 for x in word if x == big_m)  # i_v = 0: everything rotates by d_high
-    if count == m:
-        return 0
-    for i in range(1, len(word) + 1):
-        x = word[i - 1]
-        if x in sub:
-            if x == m_v:
-                count += 1
-            if x == big_m:
-                count -= 1
-        if count == m:
-            return i
+    # split i moves the copies of m_v before i and of big_m from i on to
+    # the lowest symbol
+    counts = accumulate(((x == m_v) - (x == big_m) for x in word), initial=word.count(big_m))
+    with suppress(ValueError):
+        return operator.indexOf(counts, m)
     raise BalancingInvariantError(f"no feasible split in round {v}")
 
 
@@ -479,7 +418,7 @@ def sb_encode(
             i_v = splits[v - 1]
             if not 0 <= i_v <= k:
                 raise InvalidIndexError(f"round {v}: split {i_v} outside 0..{k}")
-        word = _sb_apply_round(word, q, v, i_v, m_v, big_m)
+        word = _sb_round(word, q, v, i_v, m_v, big_m)
         lowest = sub_alphabet(q, v)[0]
         if sum(1 for x in word if x == lowest) != m:
             raise InvalidIndexError(f"round {v}: split {i_v} does not settle symbol {lowest}")
@@ -492,8 +431,7 @@ def sb_decode(cw: Codeword, params: CodecParams) -> Word:
     side = _checked_prefix(cw, params, "sb")
     word = cw.payload
     for v in range(params.q - 1, 0, -1):
-        i_v, m_v, big_m = side.rounds[v - 1]
-        word = _sb_unapply_round(word, params.q, v, i_v, m_v, big_m)
+        word = _sb_round(word, params.q, v, *side.rounds[v - 1], -1)
     return word
 
 
@@ -511,6 +449,8 @@ def _checked_payload(u: Sequence[int], params: CodecParams, kind: str) -> Word:
 
 
 def _checked_prefix(cw: Codeword, params: CodecParams, kind: str) -> SideInfo:
+    """The side info of a codeword whose prefix and payload are both
+    balanced as the construction requires; raises DecodeError otherwise."""
     if params.kind != kind:
         raise InfeasibleParamsError(f"params are for {params.kind!r}, not {kind!r}")
     try:
@@ -521,25 +461,21 @@ def _checked_prefix(cw: Codeword, params: CodecParams, kind: str) -> SideInfo:
     if len(payload) != params.k:
         raise DecodeError(f"expected a length-{params.k} payload, got {len(payload)}")
     try:
-        return decode_prefix(prefix, params.plan)
+        side = decode_prefix(prefix, params.plan)
     except InvalidIndexError as exc:
         raise DecodeError(str(exc)) from exc
+    balance = SPECS[kind].balance
+    if not PREDICATES[balance](payload, params.q):
+        raise DecodeError(f"payload is not {balance}-balanced")
+    return side
 
 
-_ENCODERS = {
-    "knuth": knuth_encode,
-    "pb": pb_encode,
-    "cb": cb_encode,
-    "cpb": cpb_encode,
-    "sb": sb_encode,
-}
-
-_DECODERS = {
-    "knuth": knuth_decode,
-    "pb": pb_decode,
-    "cb": cb_decode,
-    "cpb": cpb_decode,
-    "sb": sb_decode,
+_CODECS = {
+    "knuth": (knuth_encode, knuth_decode),
+    "pb": (pb_encode, pb_decode),
+    "cb": (cb_encode, cb_decode),
+    "cpb": (cpb_encode, cpb_decode),
+    "sb": (sb_encode, sb_decode),
 }
 
 
@@ -548,34 +484,23 @@ def encode(
 ) -> Tuple[Codeword, SideInfo]:
     """Encode a data word; inject optionally pins balancing choices.
 
-    Recognized inject keys: 'z' (knuth/pb/cb/cpb), 'a' (pb/cpb, odd q),
-    'w', 'xi', 'nu' (cpb; xi and nu are derived and only checked), and
-    'i' (sb: sequence of q-1 splits).  Injected values are validated and
+    inject takes the construction's pinnable side-info fields by name (see
+    codebook.SPECS): 'z' (knuth/pb/cb/cpb), 'a' (pb/cpb, odd q), 'w',
+    'xi', 'nu' (cpb; xi and nu are derived and only checked), and 'i'
+    (sb: sequence of q-1 splits).  Injected values are validated and
     rejected with InvalidIndexError when not balancing.
     """
     inject = dict(inject or {})
-    kind = params.kind
-    if kind == "knuth":
-        kwargs = {"z": inject.pop("z", None)}
-    elif kind == "pb":
-        kwargs = {"a": inject.pop("a", None), "z": inject.pop("z", None)}
-    elif kind == "cb":
-        kwargs = {"z": inject.pop("z", None)}
-    elif kind == "cpb":
-        kwargs = {
-            "a": inject.pop("a", None),
-            "z": inject.pop("z", None),
-            "w": inject.pop("w", None),
-            "xi": inject.pop("xi", None),
-            "nu": inject.pop("nu", None),
-        }
-    else:
-        kwargs = {"splits": inject.pop("i", None)}
+    kwargs = {
+        f.arg or f.name: inject.pop(f.name, None)
+        for f in SPECS[params.kind].fields
+        if f.arg is not None
+    }
     if inject:
-        raise InvalidIndexError(f"unsupported inject keys for {kind}: {sorted(inject)}")
-    return _ENCODERS[kind](u, params, **kwargs)
+        raise InvalidIndexError(f"unsupported inject keys for {params.kind}: {sorted(inject)}")
+    return _CODECS[params.kind][0](u, params, **kwargs)
 
 
 def decode(cw: Codeword, params: CodecParams) -> Word:
     """Decode a codeword back to its data word."""
-    return _DECODERS[params.kind](cw, params)
+    return _CODECS[params.kind][1](cw, params)

@@ -263,3 +263,14 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+def test_exit_decode_unbalanced_payload(capsys):
+    code, out, _ = run(capsys, "encode", "--kind", "cb", "--q", "4", "--word", "+3,-3,+1,-1")
+    assert code == 0
+    prefix = out.strip().split("|")[0]
+    code, out, err = run(
+        capsys, "decode", "--kind", "cb", "--q", "4", "--word", f"{prefix}|+3,+3,+3,+3"
+    )
+    assert code == 4
+    assert out == "" and "not cb-balanced" in err

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from balancedq.alphabet import is_cb, is_cpb, is_pb, is_sb, symbols
-from balancedq.codebook import balance_kind
+from balancedq.codebook import CpbSide, balance_kind, encode_prefix, side_info_space
 from balancedq.codecs import (
     CodecParams,
     Codeword,
@@ -350,3 +350,51 @@ def test_emitted_side_info_reinjects(case):
         inject = {"i": tuple(i for i, _, _ in side.rounds)}
     cw2, side2 = encode(u, params, inject)
     assert cw2 == cw and side2 == side
+
+
+# ---------------------------------------------------------------------------
+# strict decoding and parameter types
+
+
+def with_payload(kind, q, k, payload, side=None):
+    """A codeword of params (kind, q, k) carrying payload under a valid
+    prefix: the prefix of side, or of some encoded word."""
+    params = CodecParams(kind, q, k)
+    if side is None:
+        side = encode((symbols(q)[0],) * k, params)[1]
+    return Codeword(encode_prefix(side, params.plan), tuple(payload)), params
+
+
+def test_decode_rejects_unbalanced_payload():
+    cw, params = with_payload("cb", 4, 8, (3,) * 8)
+    with pytest.raises(DecodeError):
+        decode(cw, params)
+    cw, params = with_payload("sb", 3, 6, (2,) * 6)
+    with pytest.raises(DecodeError):
+        decode(cw, params)
+
+
+def test_decode_rejects_cpb_side_the_encoder_never_emits():
+    # all-zero payload: the encoder only emits xi=0, nu='+', w=0
+    for side in (CpbSide(0, 0, "+", 3, 0), CpbSide(0, 1, "+", 0, 0), CpbSide(0, 0, "-", 0, 0)):
+        cw, params = with_payload("cpb", 5, 7, (0,) * 7, side)
+        with pytest.raises(DecodeError):
+            decode(cw, params)
+    cw, _ = with_payload("cpb", 5, 7, (0,) * 7, CpbSide(0, 0, "+", 0, 0))
+    assert decode(cw, params) == (0,) * 7
+    # one positive symbol: w must stay below (q//2)*k1 = 2
+    payload = (2, -2, 0, 0, 0, 0, 0)
+    cw, _ = with_payload("cpb", 5, 7, payload, CpbSide(0, 0, "+", 2, 0))
+    with pytest.raises(DecodeError):
+        decode(cw, params)
+    cw, _ = with_payload("cpb", 5, 7, payload, CpbSide(0, 0, "+", 1, 0))
+    assert len(decode(cw, params)) == 7
+
+
+@pytest.mark.parametrize("q,k", [(4, 2.0), (4.0, 2), (True, 2), (4, True), (5, "7")])
+def test_params_must_be_integers(q, k):
+    CodecParams("pb", 4, 2)  # a cached int plan must not answer for 2.0
+    with pytest.raises(InfeasibleParamsError):
+        CodecParams("pb", q, k)
+    with pytest.raises(InfeasibleParamsError):
+        side_info_space("cb", q, k)
