@@ -3,184 +3,133 @@
 Counting and redundancy of symbol-, charge-, polarity-, and jointly
 balanced words, Gaussian approximations, and five fixed-length
 encoder/decoder constructions with balanced side-info prefixes.
+
+The counting modules (errors, alphabet, counting, asymptotics) load with
+the package, so their import is not paid inside a program's first call.
+The codebook and codec modules load on the first lookup of one of their
+names (PEP 562), so a program that only counts never loads them.  Each
+public name is bound in the package namespace on its first lookup.
 """
 
-from .alphabet import (
-    Alphabet,
-    charge_sum,
-    format_word,
-    from_zq,
-    is_cb,
-    is_cpb,
-    is_pb,
-    is_sb,
-    parse_word,
-    phi,
-    polarity_sum,
-    sub_alphabet,
-    symbol_count,
-    symbols,
-    to_zq,
-    validate_word,
-)
-from .asymptotics import (
-    BivariateSpec,
-    GaussianSpec,
-    anr,
-    approx_count,
-    approx_ln_count,
-    approx_redundancy,
-    bivariate_spec,
-    gaussian_count,
-    gaussian_ln_count,
-    gaussian_spec,
-    joint_gaussian_count,
-    joint_gaussian_ln_count,
-    stirling_ln_factorial,
-)
-from .codebook import (
-    CONSTRUCTIONS,
-    CbSide,
-    CpbSide,
-    KnuthSide,
-    PbSide,
-    PrefixPlan,
-    SbSide,
-    balance_kind,
-    decode_prefix,
-    encode_prefix,
-    pack,
-    plan,
-    rank,
-    side_info_space,
-    unpack,
-    unrank,
-)
-from .codecs import (
-    CodecParams,
-    Codeword,
-    balancing_sequence,
-    cb_decode,
-    cb_encode,
-    cpb_decode,
-    cpb_encode,
-    decode,
-    encode,
-    knuth_decode,
-    knuth_encode,
-    pb_decode,
-    pb_encode,
-    sb_decode,
-    sb_encode,
-)
-from .counting import (
-    KINDS,
-    JointCensus,
-    brute_force_count,
-    charge_count,
-    count_cb,
-    count_cpb,
-    count_pb,
-    count_sb,
-    exact_count,
-    exact_redundancy,
-    joint_census,
-    joint_count,
-    polarity_count,
-)
-from .errors import (
-    AlphabetError,
-    BalancedqError,
-    BalancingInvariantError,
-    CapacityError,
-    DecodeError,
-    InfeasibleParamsError,
-    InvalidIndexError,
-    WordParseError,
-)
+import importlib
+
+from . import alphabet, asymptotics, counting, errors  # noqa: F401
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "AlphabetError",
-    "BalancedqError",
-    "BalancingInvariantError",
-    "BivariateSpec",
-    "CapacityError",
-    "CbSide",
-    "CodecParams",
-    "Codeword",
-    "CONSTRUCTIONS",
-    "CpbSide",
-    "DecodeError",
-    "GaussianSpec",
-    "InfeasibleParamsError",
-    "InvalidIndexError",
-    "JointCensus",
-    "KINDS",
-    "KnuthSide",
-    "PbSide",
-    "PrefixPlan",
-    "SbSide",
-    "WordParseError",
-    "anr",
-    "approx_count",
-    "approx_ln_count",
-    "approx_redundancy",
-    "balance_kind",
-    "balancing_sequence",
-    "bivariate_spec",
-    "brute_force_count",
-    "cb_decode",
-    "cb_encode",
-    "charge_count",
-    "charge_sum",
-    "count_cb",
-    "count_cpb",
-    "count_pb",
-    "count_sb",
-    "cpb_decode",
-    "cpb_encode",
-    "decode",
-    "decode_prefix",
-    "encode",
-    "encode_prefix",
-    "exact_count",
-    "exact_redundancy",
-    "format_word",
-    "from_zq",
-    "gaussian_count",
-    "gaussian_ln_count",
-    "gaussian_spec",
-    "is_cb",
-    "is_cpb",
-    "is_pb",
-    "is_sb",
-    "joint_census",
-    "joint_count",
-    "joint_gaussian_count",
-    "joint_gaussian_ln_count",
-    "knuth_decode",
-    "knuth_encode",
-    "pack",
-    "parse_word",
-    "pb_decode",
-    "pb_encode",
-    "phi",
-    "plan",
-    "polarity_count",
-    "polarity_sum",
-    "rank",
-    "sb_decode",
-    "sb_encode",
-    "side_info_space",
-    "stirling_ln_factorial",
-    "sub_alphabet",
-    "symbol_count",
-    "symbols",
-    "to_zq",
-    "unpack",
-    "unrank",
-    "validate_word",
-]
+#: home module -> the public names it defines
+_EXPORTS = {
+    "alphabet": (
+        "Alphabet",
+        "charge_sum",
+        "format_word",
+        "from_zq",
+        "is_cb",
+        "is_cpb",
+        "is_pb",
+        "is_sb",
+        "parse_word",
+        "phi",
+        "polarity_sum",
+        "sub_alphabet",
+        "symbol_count",
+        "symbols",
+        "to_zq",
+        "validate_word",
+    ),
+    "asymptotics": (
+        "BivariateSpec",
+        "GaussianSpec",
+        "anr",
+        "approx_count",
+        "approx_ln_count",
+        "approx_redundancy",
+        "bivariate_spec",
+        "gaussian_count",
+        "gaussian_ln_count",
+        "gaussian_spec",
+        "joint_gaussian_count",
+        "joint_gaussian_ln_count",
+        "stirling_ln_factorial",
+    ),
+    "codebook": (
+        "CONSTRUCTIONS",
+        "CbSide",
+        "CpbSide",
+        "KnuthSide",
+        "PbSide",
+        "PrefixPlan",
+        "SbSide",
+        "balance_kind",
+        "decode_prefix",
+        "encode_prefix",
+        "pack",
+        "plan",
+        "rank",
+        "side_info_space",
+        "unpack",
+        "unrank",
+    ),
+    "codecs": (
+        "CodecParams",
+        "Codeword",
+        "balancing_sequence",
+        "cb_decode",
+        "cb_encode",
+        "cpb_decode",
+        "cpb_encode",
+        "decode",
+        "encode",
+        "knuth_decode",
+        "knuth_encode",
+        "pb_decode",
+        "pb_encode",
+        "sb_decode",
+        "sb_encode",
+    ),
+    "counting": (
+        "KINDS",
+        "JointCensus",
+        "brute_force_count",
+        "charge_count",
+        "count_cb",
+        "count_cpb",
+        "count_pb",
+        "count_sb",
+        "exact_count",
+        "exact_redundancy",
+        "joint_census",
+        "joint_count",
+        "polarity_count",
+    ),
+    "errors": (
+        "AlphabetError",
+        "BalancedqError",
+        "BalancingInvariantError",
+        "CapacityError",
+        "DecodeError",
+        "InfeasibleParamsError",
+        "InvalidIndexError",
+        "WordParseError",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule; importing it binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    # later lookups find the name in the module dict and skip this hook
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | set(_HOME))

@@ -19,19 +19,12 @@ from fractions import Fraction
 from typing import Tuple
 
 from .alphabet import symbols
-from .counting import KINDS
+from .counting import check_kind
 from .errors import InfeasibleParamsError
 
 SPEC_MODES = ("charge", "half", "unit")
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _check_kind(kind: str) -> str:
-    k = kind.lower()
-    if k not in KINDS:
-        raise InfeasibleParamsError(f"unknown balance kind {kind!r}")
-    return k
 
 
 def _check_feasible(kind: str, n: int, q: int) -> None:
@@ -110,7 +103,7 @@ def gaussian_count(spec: GaussianSpec, s: float = 0.0) -> float:
 
 def approx_ln_count(kind: str, n: int, q: int) -> float:
     """ln of the closed-form approximate count of kind-balanced words."""
-    kind = _check_kind(kind)
+    kind = check_kind(kind)
     _check_feasible(kind, n, q)
     lnq = math.log(q)
     base = n * lnq
@@ -142,7 +135,7 @@ def approx_redundancy(kind: str, n: int, q: int) -> float:
 
     Affine in log_q(n); the slope is anr(kind, q).
     """
-    kind = _check_kind(kind)
+    kind = check_kind(kind)
     _check_feasible(kind, n, q)
     lnq = math.log(q)
     lgn = math.log(n) / lnq
@@ -172,7 +165,7 @@ def anr(kind: str, q: int) -> Fraction:
     balance, and 1 for joint balance once q >= 4 (two constraints bind);
     for q <= 3 joint balance degenerates to charge balance.
     """
-    kind = _check_kind(kind)
+    kind = check_kind(kind)
     if q < 2:
         raise InfeasibleParamsError(f"alphabet order must be >= 2, got {q}")
     if kind == "sb":

@@ -13,21 +13,21 @@ Words travel as comma-separated symbols ("+4,+4,-2,0,0,0,0"); codewords
 as "prefix|payload".  Exit codes: 0 success, 2 infeasible parameters,
 3 parse error, 4 decode failure.  Data goes to stdout, diagnostics to
 stderr.
+
+The encode/decode half imports codebook and codecs, and the output helpers
+import json and csv, only where they are used, so a counting command loads
+only the counting stack.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .alphabet import format_word, parse_word, symbols
 from .asymptotics import anr, approx_count, approx_redundancy
-from .codebook import CONSTRUCTIONS, SPEC_OF_SIDE, SPECS
-from .codecs import CodecParams, Codeword, decode, encode
 from .counting import KINDS, exact_count, exact_redundancy
 from .errors import (
     AlphabetError,
@@ -37,6 +37,13 @@ from .errors import (
     InvalidIndexError,
     WordParseError,
 )
+
+if TYPE_CHECKING:
+    from .codecs import Codeword
+
+#: codebook.CONSTRUCTIONS, spelled out so that the parser can offer the
+#: names without loading the codebook (a test keeps the two equal)
+CONSTRUCTIONS = ("knuth", "pb", "cb", "cpb", "sb")
 
 TABLE1_N = (10, 20, 40, 60, 80, 100, 200, 400, 600, 800, 1000)
 
@@ -70,24 +77,26 @@ def _parse_word_for(text: str, q: int) -> Tuple[int, ...]:
 
 
 def _parse_codeword(text: str, q: int) -> Codeword:
+    from .codecs import Codeword
+
     if text.count("|") != 1:
         raise WordParseError("a codeword is written 'prefix|payload'")
     left, right = text.split("|")
     return Codeword(_parse_word_for(left, q), _parse_word_for(right, q))
 
 
-# every pinnable side-info field of any construction, and whether it has
-# one value per round (written as a ':'-separated list)
-_INJECT_FIELDS = {
-    f.name: (f, spec.rounds is not None)
-    for spec in SPECS.values()
-    for f in spec.fields
-    if f.arg is not None
-}
-
-
 def _parse_inject(text: str) -> Dict:
     """Parse an injection spec like 'a=-2,z=6' or 'i=3:3'."""
+    from .codebook import SPECS
+
+    # every pinnable side-info field of any construction, and whether it has
+    # one value per round (written as a ':'-separated list)
+    inject_fields = {
+        f.name: (f, spec.rounds is not None)
+        for spec in SPECS.values()
+        for f in spec.fields
+        if f.arg is not None
+    }
     out: Dict = {}
     for part in text.split(","):
         part = part.strip()
@@ -99,9 +108,9 @@ def _parse_inject(text: str) -> Dict:
             raise WordParseError(f"bad injection field {part!r}, expected name=value")
         if name in out:
             raise WordParseError(f"duplicate injection field {name!r}")
-        if name not in _INJECT_FIELDS:
+        if name not in inject_fields:
             raise WordParseError(f"unknown injection field {name!r}")
-        field, per_round = _INJECT_FIELDS[name]
+        field, per_round = inject_fields[name]
         if per_round:
             try:
                 out[name] = tuple(int(v) for v in val.split(":"))
@@ -122,6 +131,8 @@ def _parse_inject(text: str) -> Dict:
 
 def _side_fields(side) -> List[Tuple[str, object]]:
     """The pinnable fields the side info has, in --inject's name=value form."""
+    from .codebook import SPEC_OF_SIDE
+
     spec = SPEC_OF_SIDE[type(side)]
     items = spec.items(side)
     fields: List[Tuple[str, object]] = []
@@ -137,6 +148,8 @@ def _side_text(side) -> str:
 
 
 def _side_json(side):
+    from .codebook import SPEC_OF_SIDE
+
     spec = SPEC_OF_SIDE[type(side)]
     if spec.rounds:
         names = [f.name for f in spec.fields]
@@ -145,10 +158,14 @@ def _side_json(side):
 
 
 def _print_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, sort_keys=True))
 
 
 def _print_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
@@ -179,6 +196,8 @@ def _round4(x: float) -> float:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    from .codecs import CodecParams, encode
+
     word = _parse_word_for(_input_text(args), args.q)
     if args.k is not None and args.k != len(word):
         raise InfeasibleParamsError(f"--k {args.k} does not match the word length {len(word)}")
@@ -207,6 +226,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    from .codecs import CodecParams, decode
+
     codeword = _parse_codeword(_input_text(args), args.q)
     if args.k is not None and args.k != len(codeword.payload):
         raise InfeasibleParamsError(

@@ -38,6 +38,7 @@ from .alphabet import (
 from .counting import (
     RETAINED_MAX,
     charge_count,
+    check_kind,
     exact_count,
     joint_count,
     polarity_count,
@@ -178,16 +179,11 @@ SPEC_OF_SIDE = {spec.side: spec for spec in SPECS.values()}
 
 def balance_kind(construction: str) -> str:
     """Balance predicate guaranteed by a construction's prefix and payload."""
-    c = construction.lower()
-    if c not in SPECS:
-        raise InfeasibleParamsError(f"unknown construction {construction!r}")
-    return SPECS[c].balance
+    return SPECS[check_kind(construction, SPECS, "construction")].balance
 
 
 def _check_construction_params(kind: str, q: int, k: int) -> str:
-    kind = kind.lower()
-    if kind not in SPECS:
-        raise InfeasibleParamsError(f"unknown construction {kind!r}")
+    kind = check_kind(kind, SPECS, "construction")
     if type(q) is not int or type(k) is not int:  # bools and floats are refused too
         raise InfeasibleParamsError(
             f"alphabet order and data length must be integers, got q={q!r}, k={k!r}"

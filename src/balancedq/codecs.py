@@ -42,6 +42,7 @@ from .codebook import (
     SPECS,
     CbSide,
     CpbSide,
+    Field,
     KnuthSide,
     PbSide,
     PrefixPlan,
@@ -68,8 +69,9 @@ class CodecParams:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", self.kind.lower())
-        object.__setattr__(self, "_plan", plan(self.kind, self.q, self.k))
+        prefix_plan = plan(self.kind, self.q, self.k)
+        object.__setattr__(self, "kind", prefix_plan.kind)
+        object.__setattr__(self, "_plan", prefix_plan)
 
     @property
     def plan(self) -> PrefixPlan:
@@ -490,15 +492,39 @@ def encode(
     (sb: sequence of q-1 splits).  Injected values are validated and
     rejected with InvalidIndexError when not balancing.
     """
+    spec = SPECS[params.kind]
     inject = dict(inject or {})
     kwargs = {
-        f.arg or f.name: inject.pop(f.name, None)
-        for f in SPECS[params.kind].fields
+        f.arg or f.name: _injected(f, spec.rounds is not None, inject.pop(f.name, None))
+        for f in spec.fields
         if f.arg is not None
     }
     if inject:
         raise InvalidIndexError(f"unsupported inject keys for {params.kind}: {sorted(inject)}")
     return _CODECS[params.kind][0](u, params, **kwargs)
+
+
+def _injected(field: Field, per_round: bool, value):
+    """An injected field value of the type the field takes: one of its
+    flags, or an int (a sequence of ints, one per round, for a per-round
+    field); None passes.  Raises InvalidIndexError otherwise."""
+    if value is None:
+        return None
+    if isinstance(field.values, tuple):
+        if value not in field.values:
+            allowed = " or ".join(map(repr, field.values))
+            raise InvalidIndexError(f"injected {field.name} must be {allowed}, got {value!r}")
+        return value
+    items = (value,)
+    if per_round:
+        try:
+            items = tuple(value)
+        except TypeError:
+            items = (None,)
+    if any(type(x) is not int for x in items):  # bools and floats are refused too
+        what = "a sequence of integers" if per_round else "an integer"
+        raise InvalidIndexError(f"injected {field.name} must be {what}, got {value!r}")
+    return items if per_round else value
 
 
 def decode(cw: Codeword, params: CodecParams) -> Word:

@@ -49,6 +49,17 @@ BRUTE_FORCE_BUDGET = 10_000_000
 
 _lock = threading.Lock()
 
+
+def check_kind(kind: str, names=KINDS, what: str = "balance kind") -> str:
+    """kind in lower case, when it names one of names (the balance kinds by
+    default, or the constructions); raises InfeasibleParamsError otherwise,
+    also for a kind that is not a string."""
+    name = kind.lower() if isinstance(kind, str) else None
+    if name not in names:
+        raise InfeasibleParamsError(f"unknown {what} {kind!r}")
+    return name
+
+
 # charge tables: q -> [table_0, table_1, ...]; table_r[j] counts words of
 # length r whose symbol sum is 2*j - r*(q-1).
 _charge_tables: Dict[int, List[Tuple[int, ...]]] = {}
@@ -321,11 +332,7 @@ _COUNTERS = {"sb": count_sb, "cb": count_cb, "pb": count_pb, "cpb": count_cpb}
 
 def exact_count(kind: str, n: int, q: int) -> int:
     """Dispatch to the exact counter for kind in {'sb','cb','pb','cpb'}."""
-    try:
-        fn = _COUNTERS[kind.lower()]
-    except KeyError:
-        raise InfeasibleParamsError(f"unknown balance kind {kind!r}") from None
-    return fn(n, q)
+    return _COUNTERS[check_kind(kind)](n, q)
 
 
 def exact_redundancy(kind: str, n: int, q: int) -> float:
@@ -363,9 +370,7 @@ def brute_force_count(kind: str, n: int, q: int, budget: int = BRUTE_FORCE_BUDGE
     closed forms and dynamic programs, not for production use.
     """
     _check_nq(n, q)
-    if kind.lower() not in KINDS:
-        raise InfeasibleParamsError(f"unknown balance kind {kind!r}")
+    kind = check_kind(kind)
     if q**n > budget:
         raise CapacityError(f"enumeration of {q}**{n} words exceeds budget {budget}")
-    tally = _brute_tally(n, q)
-    return tally[KINDS.index(kind.lower())]
+    return _brute_tally(n, q)[KINDS.index(kind)]

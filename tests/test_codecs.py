@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from balancedq.alphabet import is_cb, is_cpb, is_pb, is_sb, symbols
+from balancedq.asymptotics import approx_redundancy
 from balancedq.codebook import CpbSide, balance_kind, encode_prefix, side_info_space
 from balancedq.codecs import (
     CodecParams,
@@ -22,6 +23,7 @@ from balancedq.codecs import (
     pb_encode,
     sb_encode,
 )
+from balancedq.counting import exact_count
 from balancedq.errors import DecodeError, InfeasibleParamsError, InvalidIndexError
 
 PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
@@ -201,6 +203,56 @@ def test_injection_validation():
         encode((0, -2, -2, -2, 0, -2), params, {"i": (3,)})
     with pytest.raises(InvalidIndexError):
         encode((0, -2, -2, -2, 0, -2), params, {"i": (2, 3)})
+
+
+@pytest.mark.parametrize(
+    "kind,q,k,inject",
+    [
+        ("pb", 5, 7, {"a": -2.0, "z": 6}),
+        ("pb", 5, 7, {"a": -2, "z": 6.0}),
+        ("knuth", 2, 8, {"z": False}),
+        ("knuth", 2, 8, {"z": 0.0}),
+        ("cb", 4, 8, {"z": 7.0}),
+        ("cb", 4, 8, {"z": "7"}),
+        ("cpb", 5, 7, {"w": 1.0}),
+        ("cpb", 5, 7, {"xi": True}),
+        ("cpb", 5, 7, {"nu": 1}),
+        ("cpb", 5, 7, {"nu": "plus"}),
+        ("sb", 3, 6, {"i": (3, 3.0)}),
+        ("sb", 3, 6, {"i": (True, 3)}),
+        ("sb", 2, 4, {"i": 2}),
+        ("sb", 2, 4, {"i": "2"}),
+    ],
+)
+def test_injected_values_must_have_the_field_type(kind, q, k, inject):
+    u = {"knuth": (1, -1) * 4, "cb": (3,) * 8, "sb": symbols(q) * (k // q)}.get(
+        kind, (+4, +4, -2, 0, 0, 0, 0)
+    )
+    with pytest.raises(InvalidIndexError):
+        encode(u, CodecParams(kind, q, k), inject)
+
+
+def test_injected_ints_still_replay():
+    # the same values as plain ints (any sequence type for sb splits) pass
+    u = (+4, +4, -2, 0, 0, 0, 0)
+    assert encode(u, CodecParams("pb", 5, 7), {"a": -2, "z": 6})[1].a == -2
+    params = CodecParams("sb", 3, 6)
+    word = (0, -2, -2, -2, 0, -2)
+    splits = tuple(i for i, _, _ in encode(word, params)[1].rounds)
+    for seq in (splits, list(splits), iter(splits)):
+        assert encode(word, params, {"i": seq}) == encode(word, params)
+
+
+@pytest.mark.parametrize("kind", [None, 3, b"pb"])
+def test_kind_must_be_a_known_name(kind):
+    for call in (
+        lambda: CodecParams(kind, 4, 2),
+        lambda: balance_kind(kind),
+        lambda: exact_count(kind, 4, 2),
+        lambda: approx_redundancy(kind, 4, 2),
+    ):
+        with pytest.raises(InfeasibleParamsError):
+            call()
 
 
 def test_pb_offset_rejected_for_even_q():

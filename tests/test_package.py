@@ -1,0 +1,140 @@
+"""The package namespace loads its names on first use.
+
+A counting command must not load the codebook and codec modules, and every
+public name must still resolve, star-import and show in dir().
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import balancedq
+from balancedq import cli, codebook
+
+#: the public names of the package (a change to this set is an API change)
+PUBLIC = {
+    "Alphabet", "AlphabetError", "BalancedqError", "BalancingInvariantError",
+    "BivariateSpec", "CapacityError", "CbSide", "CodecParams", "Codeword",
+    "CONSTRUCTIONS", "CpbSide", "DecodeError", "GaussianSpec",
+    "InfeasibleParamsError", "InvalidIndexError", "JointCensus", "KINDS",
+    "KnuthSide", "PbSide", "PrefixPlan", "SbSide", "WordParseError", "anr",
+    "approx_count", "approx_ln_count", "approx_redundancy", "balance_kind",
+    "balancing_sequence", "bivariate_spec", "brute_force_count", "cb_decode",
+    "cb_encode", "charge_count", "charge_sum", "count_cb", "count_cpb",
+    "count_pb", "count_sb", "cpb_decode", "cpb_encode", "decode",
+    "decode_prefix", "encode", "encode_prefix", "exact_count",
+    "exact_redundancy", "format_word", "from_zq", "gaussian_count",
+    "gaussian_ln_count", "gaussian_spec", "is_cb", "is_cpb", "is_pb", "is_sb",
+    "joint_census", "joint_count", "joint_gaussian_count",
+    "joint_gaussian_ln_count", "knuth_decode", "knuth_encode", "pack",
+    "parse_word", "pb_decode", "pb_encode", "phi", "plan", "polarity_count",
+    "polarity_sum", "rank", "sb_decode", "sb_encode", "side_info_space",
+    "stirling_ln_factorial", "sub_alphabet", "symbol_count", "symbols",
+    "to_zq", "unpack", "unrank", "validate_word",
+}  # fmt: skip
+
+SUBMODULES = ("alphabet", "asymptotics", "codebook", "codecs", "counting", "errors")
+
+#: runs CLI commands in one fresh interpreter and prints, after each, the
+#: balancedq modules loaded so far
+PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from balancedq import cli
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded[" ".join(argv)] = [code, sorted(m for m in sys.modules if m.startswith("balancedq"))]
+print(json.dumps(loaded))
+"""
+
+COUNTING_COMMANDS = [
+    ["count", "--kind", "cpb", "--q", "5", "--n", "40"],
+    ["count", "--kind", "sb", "--q", "3", "--n", "30", "--approx", "--format", "json"],
+    ["redundancy", "--kind", "cb", "--q", "4", "--n", "50", "--format", "csv"],
+    ["redundancy", "--kind", "pb", "--q", "7", "--n", "20", "--approx"],
+    ["table1", "--format", "json"],
+    ["table2", "--format", "csv"],
+    ["sweep", "--kind", "cpb", "--q", "4", "--start", "1", "--stop", "12"],
+]
+
+CODEC_MODULES = {"balancedq.codebook", "balancedq.codecs"}
+COUNTING_STACK = {
+    f"balancedq{name}" for name in ("", ".alphabet", ".asymptotics", ".cli", ".counting", ".errors")
+}
+
+
+def run_fresh(code, *args):
+    """stdout of code run in a new interpreter that imports this balancedq."""
+    src = Path(balancedq.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+
+
+def probe(commands):
+    return json.loads(run_fresh(PROBE, json.dumps(commands)))
+
+
+def test_counting_commands_do_not_load_the_codecs():
+    encode = ["encode", "--kind", "cb", "--q", "4", "--word", "+3,-3,+1,-1"]
+    loaded = probe(COUNTING_COMMANDS + [encode])
+    for argv in COUNTING_COMMANDS:
+        code, modules = loaded[" ".join(argv)]
+        assert code == 0, argv
+        assert set(modules) == COUNTING_STACK, argv
+    code, modules = loaded[" ".join(encode)]
+    assert code == 0 and CODEC_MODULES <= set(modules)
+
+
+def test_decode_loads_the_codecs():
+    decode = ["decode", "--kind", "cb", "--q", "4", "--word", "-3,+1,+3,-1|-3,+3,+3,-3"]
+    code, modules = probe([decode])[" ".join(decode)]
+    assert code == 0 and CODEC_MODULES <= set(modules)
+
+
+def test_submodules_resolve_as_attributes():
+    out = run_fresh("import balancedq; print(balancedq.codebook.__name__, balancedq.codecs.__name__)")
+    assert out.split() == ["balancedq.codebook", "balancedq.codecs"]
+    assert {"codebook", "codecs", "counting"} <= set(dir(balancedq))
+
+
+def test_public_names_resolve_to_their_home():
+    assert set(balancedq.__all__) == PUBLIC
+    homes = [importlib.import_module(f"balancedq.{name}") for name in SUBMODULES]
+    for name in balancedq.__all__:
+        value = getattr(balancedq, name)
+        assert any(getattr(home, name, None) is value for home in homes), name
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from balancedq import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+def test_dir_lists_the_public_names():
+    assert PUBLIC <= set(dir(balancedq))
+    assert "__version__" in dir(balancedq)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        balancedq.bogus
+    assert not hasattr(balancedq, "RETAINED_MAX")  # a module global, not exported
+    assert getattr(balancedq, "bogus", None) is None
+
+
+def test_cli_constructions_match_the_specs():
+    assert cli.CONSTRUCTIONS == tuple(codebook.SPECS) == codebook.CONSTRUCTIONS
