@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import countOf, gt, lt
 from typing import Sequence, Tuple
 
 from .errors import AlphabetError, WordParseError
@@ -65,19 +67,22 @@ def sub_alphabet(q: int, v: int) -> Word:
     return tuple(range(-q - 1 + 2 * v, q, 2))
 
 
-def contains(word: Sequence[int], q: int) -> bool:
-    lo = -q + 1
-    par = (q - 1) & 1
-    return all(lo <= x < q and (x & 1) == par for x in word)
+@lru_cache(maxsize=None)
+def _symbol_set(q: int) -> frozenset:
+    return frozenset(symbols(q))
 
 
 def validate_word(word: Sequence[int], q: int) -> Word:
-    """Return word as a tuple, raising AlphabetError on any foreign symbol."""
+    """Return word as a tuple, raising AlphabetError on any foreign symbol.
+
+    Symbols are ints: an equal value of another type (True, 1.0) is foreign.
+    """
     _check_q(q)
     w = tuple(word)
-    if not contains(w, q):
-        bad = next(x for x in w if x not in symbols(q))
-        raise AlphabetError(f"symbol {bad} is not in the order-{q} alphabet")
+    # types first, so that an unhashable item never reaches the set
+    if not (countOf(map(type, w), int) == len(w) and _symbol_set(q).issuperset(w)):
+        bad = next(x for x in w if type(x) is not int or x not in symbols(q))
+        raise AlphabetError(f"symbol {bad!r} is not in the order-{q} alphabet")
     return w
 
 
@@ -152,9 +157,7 @@ def is_cb(word: Sequence[int], q: int) -> bool:
 
 def is_pb(word: Sequence[int], q: int) -> bool:
     """Polarity-balanced: as many positive as negative symbols (zeros free)."""
-    pos = sum(1 for x in word if x > 0)
-    neg = sum(1 for x in word if x < 0)
-    return pos == neg
+    return sum(map(gt, word, repeat(0))) == sum(map(lt, word, repeat(0)))
 
 
 def is_cpb(word: Sequence[int], q: int) -> bool:
@@ -211,7 +214,7 @@ class Alphabet:
         return sub_alphabet(self.q, v)
 
     def __contains__(self, x: int) -> bool:
-        return contains((x,), self.q)
+        return type(x) is int and x in symbols(self.q)
 
     def __len__(self) -> int:
         return self.q

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .alphabet import (
@@ -217,11 +217,20 @@ def _check_construction_params(kind: str, q: int, k: int) -> str:
     return kind
 
 
-@lru_cache(maxsize=4096, typed=True)
+def _checked_cache(fn: Callable) -> Callable:
+    """fn(kind, q, k) cached per valid triple; the check runs before the
+    cache, which cannot hash a list or a dict."""
+    cached = lru_cache(maxsize=4096)(fn)
+    checked = wraps(fn)(lambda kind, q, k: cached(_check_construction_params(kind, q, k), q, k))
+    checked.cache_info = cached.cache_info
+    return checked
+
+
+@_checked_cache
 def _layout(kind: str, q: int, k: int) -> tuple:
     """(spec, (field, values) of every packed digit, most significant first,
     side-info space) of a valid (kind, q, k)."""
-    spec = SPECS[_check_construction_params(kind, q, k)]
+    spec = SPECS[kind]
     layout = tuple(
         (f, f.values if isinstance(f.values, tuple) else f.values(q, k, v))
         for v in (spec.rounds(q) if spec.rounds else (None,))
@@ -252,12 +261,9 @@ class PrefixPlan:
     length: int
 
 
-# typed, like _layout, so that a float or bool k never hits the cached plan
-# of an int
-@lru_cache(maxsize=4096, typed=True)
+@_checked_cache
 def plan(kind: str, q: int, k: int) -> PrefixPlan:
     """Compute the prefix plan for a construction."""
-    kind = _check_construction_params(kind, q, k)
     space = side_info_space(kind, q, k)
     bkind = balance_kind(kind)
     p = 1  # lengths with no balanced words count 0 and are passed over

@@ -14,9 +14,11 @@ bipolar case:
 - sb:    q-1 rounds; round v fixes the count of the round's lowest symbol
          at k/q by rotating a split of the sub-alphabet positions.
 
-cb and cpb share one balancing-sequence transform and one sliding index
-search; they differ in the positions the sequence covers and in the
-sub-alphabet it wraps around.
+Every payload stage is one pass of cached symbol maps over the word, with
+at most one cut: the flip at z, the pb offset, the cpb mirror, an sb round
+at its split, a balancing sequence at its g-th position.  cb and cpb share
+one sequence transform and one sliding index search; they differ in the
+positions the sequence covers and in the sub-alphabet window it rotates.
 
 Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
@@ -33,7 +35,9 @@ import operator
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import gt, lt
 from typing import Dict, Optional, Sequence, Tuple
 
 from .alphabet import Word, is_cb, is_pb, sub_alphabet, symbols, validate_word
@@ -90,10 +94,22 @@ class Codeword:
         return self.prefix + self.payload
 
 
-def _reduce_full(value: int, q: int) -> int:
-    # land on the unique alphabet element congruent to value (step-2 grids
-    # stay aligned because value + q - 1 is always even here)
-    return (value + q - 1) % (2 * q) - q + 1
+@lru_cache(maxsize=1024)
+def _rotation(q: int, lo: int, mod: int, d: int) -> Dict[int, int]:
+    """Symbol map of the order-q alphabet: the window lo, lo+2, ..., lo+mod-2
+    rotates by d, modulo mod, and every other symbol maps to itself."""
+    return {s: lo + (s + d - lo) % mod if lo <= s < lo + mod else s for s in symbols(q)}
+
+
+def _map_cut(word: Word, cut: int, first: Dict[int, int], rest: Dict[int, int]) -> Word:
+    """word with the map first applied to word[:cut] and rest to the rest."""
+    # no slices: CPython keeps freed tuples of up to 20 items on free lists
+    return tuple(map(dict.__getitem__, chain(repeat(first, cut), repeat(rest)), word))
+
+
+def _offset(word: Word, q: int, d: int) -> Word:
+    """word with d added to every symbol, modulo the full alphabet."""
+    return tuple(map(_rotation(q, -q + 1, 2 * q, d).__getitem__, word))
 
 
 def balancing_sequence(i: int, length: int, radix: int) -> Word:
@@ -116,7 +132,7 @@ def balancing_sequence(i: int, length: int, radix: int) -> Word:
 
 
 def _flip(u: Word, z: int) -> Word:
-    return tuple(-x for x in u[:z]) + u[z:]
+    return tuple(chain(map(operator.neg, islice(u, z)), islice(u, z, None)))
 
 
 def find_pb_offset(u: Sequence[int], q: int) -> int:
@@ -128,7 +144,7 @@ def find_pb_offset(u: Sequence[int], q: int) -> int:
     u = tuple(u)
     k = len(u)
     for a in symbols(q):
-        if sum(1 for x in u if x == a) % 2 == k % 2:
+        if u.count(a) % 2 == k % 2:
             return a
     raise BalancingInvariantError("no feasible offset symbol found")
 
@@ -136,7 +152,8 @@ def find_pb_offset(u: Sequence[int], q: int) -> int:
 def find_pb_index(u: Sequence[int], q: Optional[int] = None) -> int:
     """Smallest z in [0, k) such that inverting the first z polarities
     balances the word.  At q=2 the symbols are their own polarities."""
-    signs = u if q == 2 else [(x > 0) - (x < 0) for x in u]
+    zeros = repeat(0)
+    signs = u if q == 2 else list(map(operator.sub, map(gt, u, zeros), map(lt, u, zeros)))
     total = sum(signs)
     # inverting the first z polarities subtracts twice their sum; a match
     # at z = k would mean total = 0, which z = 0 already matches
@@ -162,9 +179,9 @@ def _pb_stage(
     else:
         if a is None:
             a = find_pb_offset(u, q)
-        elif a not in symbols(q) or sum(1 for x in u if x == a) % 2 != k % 2:
+        elif a not in symbols(q) or u.count(a) % 2 != k % 2:
             raise InvalidIndexError(f"offset a={a} has the wrong count parity")
-        shifted = tuple(_reduce_full(x - a, q) for x in u)
+        shifted = _offset(u, q, -a)
     if z is None:
         z = find_pb_index(shifted, q)
     elif not (0 <= z < k and is_pb(_flip(shifted, z), q)):
@@ -175,9 +192,7 @@ def _pb_stage(
 def _pb_unstage(word: Word, q: int, z: int, a: Optional[int]) -> Word:
     """Inverse of _pb_stage."""
     word = _flip(word, z)
-    if a is None:
-        return word
-    return tuple(_reduce_full(x + a, q) for x in word)
+    return word if a is None else _offset(word, q, a)
 
 
 def pb_encode(
@@ -218,33 +233,31 @@ def knuth_decode(cw: Codeword, params: CodecParams) -> Word:
 
 
 def _add_sequence(
-    word: Word, positions: Sequence[int], lo: int, mod: int, z: int, sign: int = 1
+    word: Word, q: int, positions: Sequence[int], lo: int, mod: int, z: int, sign: int = 1
 ) -> Word:
     """Add sign times balancing sequence z, spread over positions, to word.
 
-    Each touched symbol wraps into the sub-alphabet lo, lo+2, ...,
-    lo+mod-2, which has mod/2 symbols and so mod/2 sequence blocks.
+    The positions hold exactly the word's symbols in the window lo, lo+2,
+    ..., lo+mod-2, which has mod/2 symbols and so mod/2 sequence blocks.
     """
     if not positions:
         return word
-    out = list(word)
-    for i, b in zip(positions, balancing_sequence(z, len(positions), mod // 2)):
-        out[i] = lo + (out[i] + sign * b - lo) % mod
-    return tuple(out)
+    # sequence z adds 2j+2 on its first g positions and 2j on the rest
+    j, g = divmod(z, len(positions))
+    first, rest = (_rotation(q, lo, mod, sign * d) for d in (2 * j + 2, 2 * j))
+    return _map_cut(word, positions[g], first, rest)
 
 
-def _find_sequence(
-    word: Sequence[int], positions: Sequence[int], lo: int, mod: int, target: int
-) -> int:
-    """Smallest z whose balancing sequence, added as in _add_sequence,
-    brings the sum over positions to target."""
-    cur = [lo + (word[i] - lo) % mod for i in positions]
+def _find_sequence(cur: Word, q: int, lo: int, mod: int, target: int) -> int:
+    """Smallest z whose balancing sequence, added as in _add_sequence to the
+    window symbols cur, brings their sum to target."""
+    step = _rotation(q, lo, mod, 2).__getitem__
     n = len(cur)
     for block in range(mod // 2):
         # sequence block*n + g adds 2 more on the first g positions than
-        # sequence block*n does
-        nxt = [lo + (x + 2 - lo) % mod for x in cur]
-        running = accumulate(map(operator.sub, nxt[: n - 1], cur), initial=sum(cur))
+        # sequence block*n does; g = n is the next block's g = 0
+        nxt = tuple(map(step, cur))
+        running = accumulate(map(operator.sub, nxt, cur), initial=sum(cur))
         with suppress(ValueError):
             return block * n + operator.indexOf(running, target)
         cur = nxt
@@ -253,7 +266,7 @@ def _find_sequence(
 
 def find_cb_index(u: Sequence[int], q: int) -> int:
     """Smallest z in [0, q*k) whose balancing sequence zeroes the charge."""
-    return _find_sequence(u, range(len(u)), -q + 1, 2 * q, 0)
+    return _find_sequence(tuple(u), q, -q + 1, 2 * q, 0)
 
 
 def cb_encode(
@@ -263,7 +276,7 @@ def cb_encode(
     q, k = params.q, params.k
     if z is None:
         z = find_cb_index(u, q)
-    payload = _add_sequence(u, range(k), -q + 1, 2 * q, z) if 0 <= z < q * k else None
+    payload = _add_sequence(u, q, range(k), -q + 1, 2 * q, z) if 0 <= z < q * k else None
     if payload is None or not is_cb(payload, q):
         raise InvalidIndexError(f"z={z} does not charge-balance this word")
     side = CbSide(z)
@@ -273,7 +286,7 @@ def cb_encode(
 def cb_decode(cw: Codeword, params: CodecParams) -> Word:
     side = _checked_prefix(cw, params, "cb")
     q = params.q
-    return _add_sequence(cw.payload, range(params.k), -q + 1, 2 * q, side.z, -1)
+    return _add_sequence(cw.payload, q, range(params.k), -q + 1, 2 * q, side.z, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +296,23 @@ def cb_decode(cw: Codeword, params: CodecParams) -> Word:
 def _side(word: Word, q: int, nu: str) -> Tuple[list, int, int]:
     """Positions of the nu side's symbols in word, and the lowest symbol and
     the modulus of that half-alphabet."""
-    sign = 1 if nu == "+" else -1
-    lo = 1 + q % 2 if sign > 0 else -q + 1
-    return [i for i, x in enumerate(word) if sign * x > 0], lo, 2 * (q // 2)
+    on_side = map(gt if nu == "+" else lt, word, repeat(0))
+    lo = 1 + q % 2 if nu == "+" else -q + 1
+    return list(compress(range(len(word)), on_side)), lo, 2 * (q // 2)
 
 
-def _mirror_positive(word: Word, q: int) -> Word:
+@lru_cache(maxsize=None)
+def _mirror(q: int) -> Dict[int, int]:
+    """Symbol map that reverses the order of the positive symbols."""
     top = 2 * ((q + 1) // 2)
-    return tuple(top - x if x > 0 else x for x in word)
+    return {s: top - s if s > 0 else s for s in symbols(q)}
 
 
 def find_cpb_index(word: Sequence[int], nu: str, q: int, target: int) -> int:
     """Smallest w whose balancing sequence drives the nu-side sum to target."""
     word = tuple(word)
-    return _find_sequence(word, *_side(word, q, nu), target)
+    positions, lo, mod = _side(word, q, nu)
+    return _find_sequence(tuple(map(word.__getitem__, positions)), q, lo, mod, target)
 
 
 def cpb_encode(
@@ -312,14 +328,14 @@ def cpb_encode(
     q = params.q
     want_xi, want_nu = xi, nu
     y, a, z = _pb_stage(u, q, params.k, a, z)
-    k1 = sum(1 for x in y if x > 0)
-    pos_sum = sum(x for x in y if x > 0)
-    neg_sum = -sum(x for x in y if x < 0)
+    k1 = sum(map(gt, y, repeat(0)))
+    pos_sum = sum(filter((0).__lt__, y))
+    neg_sum = pos_sum - sum(y)
     pivot = k1 * ((q + 1) // 2)
     xi = 1 if (pos_sum < pivot < neg_sum or neg_sum < pivot < pos_sum) else 0
     if xi:
-        y = _mirror_positive(y, q)
-        pos_sum = sum(x for x in y if x > 0)
+        y = tuple(map(_mirror(q).__getitem__, y))
+        pos_sum = sum(filter((0).__lt__, y))
     # after the mirror both side sums sit on the same side of the pivot; a
     # word without nonzero symbols gets xi=0, nu='+' and w=0
     nu = "+" if (pos_sum >= neg_sum >= pivot or pos_sum <= neg_sum <= pivot) else "-"
@@ -335,8 +351,8 @@ def cpb_encode(
         w = find_cpb_index(y, nu, q, target)
     elif not 0 <= w < w_space:
         raise InvalidIndexError(f"w={w} outside 0..{w_space - 1}")
-    payload = _add_sequence(y, positions, lo, mod, w)
-    if sum(payload[i] for i in positions) != target:
+    payload = _add_sequence(y, q, positions, lo, mod, w)
+    if sum(map(payload.__getitem__, positions)) != target:
         raise InvalidIndexError(f"w={w} does not balance the {nu} side")
     side = CpbSide(z, xi, nu, w, a)
     return Codeword(encode_prefix(side, params.plan), payload), side
@@ -351,9 +367,9 @@ def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
     k1 = len(positions)
     if not (side.w < (q // 2) * k1 if k1 else (side.xi, side.nu, side.w) == (0, "+", 0)):
         raise DecodeError(f"side info {side} was not produced for this payload")
-    word = _add_sequence(cw.payload, positions, lo, mod, side.w, -1)
+    word = _add_sequence(cw.payload, q, positions, lo, mod, side.w, -1)
     if side.xi:
-        word = _mirror_positive(word, q)
+        word = tuple(map(_mirror(q).__getitem__, word))
     return _pb_unstage(word, q, side.z, side.a)
 
 
@@ -379,12 +395,8 @@ def _sb_round(
     """
     sub = sub_alphabet(q, v)
     lo, mod = sub[0], 2 * len(sub)
-    d_low = sign * (lo - m_v)
-    d_high = sign * (lo - big_m)
-    return tuple(
-        lo + (x + (d_low if i < i_v else d_high) - lo) % mod if x >= lo else x
-        for i, x in enumerate(word)
-    )
+    first, rest = (_rotation(q, lo, mod, sign * (lo - s)) for s in (m_v, big_m))
+    return _map_cut(word, i_v, first, rest)
 
 
 def find_sb_split(word: Sequence[int], q: int, v: int, m: int) -> int:
@@ -394,7 +406,8 @@ def find_sb_split(word: Sequence[int], q: int, v: int, m: int) -> int:
     m_v, big_m = _sb_round_stats(word, q, v)
     # split i moves the copies of m_v before i and of big_m from i on to
     # the lowest symbol
-    counts = accumulate(((x == m_v) - (x == big_m) for x in word), initial=word.count(big_m))
+    weight = {s: (s == m_v) - (s == big_m) for s in symbols(q)}
+    counts = accumulate(map(weight.__getitem__, word), initial=word.count(big_m))
     with suppress(ValueError):
         return operator.indexOf(counts, m)
     raise BalancingInvariantError(f"no feasible split in round {v}")
@@ -422,7 +435,7 @@ def sb_encode(
                 raise InvalidIndexError(f"round {v}: split {i_v} outside 0..{k}")
         word = _sb_round(word, q, v, i_v, m_v, big_m)
         lowest = sub_alphabet(q, v)[0]
-        if sum(1 for x in word if x == lowest) != m:
+        if word.count(lowest) != m:
             raise InvalidIndexError(f"round {v}: split {i_v} does not settle symbol {lowest}")
         rounds.append((i_v, m_v, big_m))
     side = SbSide(tuple(rounds))

@@ -86,6 +86,14 @@ def test_validate_word():
         validate_word([0], 2)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, 1 + 0j, "1", [1]])
+def test_symbols_must_be_ints(bad):
+    # values equal to a symbol but of another type are foreign symbols
+    with pytest.raises(AlphabetError, match="is not in the order-2 alphabet"):
+        validate_word((bad, -1), 2)
+    assert bad not in Alphabet(2) and 1 in Alphabet(2)
+
+
 def test_sums_and_counts():
     w = (4, 4, -2, 0, 0, 0, 0)
     assert charge_sum(w) == 6

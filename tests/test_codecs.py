@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from balancedq.alphabet import is_cb, is_cpb, is_pb, is_sb, symbols
 from balancedq.asymptotics import approx_redundancy
-from balancedq.codebook import CpbSide, balance_kind, encode_prefix, side_info_space
+from balancedq.codebook import CpbSide, balance_kind, encode_prefix, plan, side_info_space
 from balancedq.codecs import (
     CodecParams,
     Codeword,
@@ -24,7 +24,7 @@ from balancedq.codecs import (
     sb_encode,
 )
 from balancedq.counting import exact_count
-from balancedq.errors import DecodeError, InfeasibleParamsError, InvalidIndexError
+from balancedq.errors import AlphabetError, DecodeError, InfeasibleParamsError, InvalidIndexError
 
 PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
 
@@ -253,6 +253,28 @@ def test_kind_must_be_a_known_name(kind):
     ):
         with pytest.raises(InfeasibleParamsError):
             call()
+
+
+@pytest.mark.parametrize("kind,q,k", [(["pb"], 4, 2), ({"a": 1}, 4, 2), ("pb", [4], 2), ("cb", 4, {2})])
+def test_unhashable_params_are_infeasible(kind, q, k):
+    for call in (
+        lambda: CodecParams(kind, q, k),
+        lambda: plan(kind, q, k),
+        lambda: side_info_space(kind, q, k),
+    ):
+        with pytest.raises(InfeasibleParamsError):
+            call()
+
+
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_symbols_must_be_ints(bad):
+    params = CodecParams("knuth", 2, 4)
+    with pytest.raises(AlphabetError):
+        encode((bad, 1, 1, -1), params)
+    cw, _ = encode((1, 1, 1, -1), params)
+    payload = tuple(bad if x == 1 else x for x in cw.payload)
+    with pytest.raises(DecodeError):
+        decode(Codeword(cw.prefix, payload), params)
 
 
 def test_pb_offset_rejected_for_even_q():

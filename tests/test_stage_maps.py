@@ -1,0 +1,264 @@
+"""The payload stages as symbol maps, against the per-symbol formulas.
+
+The codecs run every payload stage as a cached symbol map applied on either
+side of one cut.  The reference functions below are the per-symbol formulas
+those maps replaced; each stage must agree with them on every symbol, every
+window the codecs use, every shift and every cut, and whole codewords at
+k=2048 must equal what the reference stages give for the same side info.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from balancedq.alphabet import is_cpb, sub_alphabet, symbols
+from balancedq.codebook import CbSide, CpbSide, KnuthSide, PbSide, SbSide
+from balancedq.codecs import (
+    CodecParams,
+    _add_sequence,
+    _flip,
+    _mirror,
+    _offset,
+    _sb_round,
+    _side,
+    balancing_sequence,
+    decode,
+    encode,
+)
+
+ORDERS = range(2, 10)
+
+# ---------------------------------------------------------------------------
+# reference formulas, one Python expression per symbol
+
+
+def ref_reduce_full(value, q):
+    return (value + q - 1) % (2 * q) - q + 1
+
+
+def ref_offset(word, q, d):
+    return tuple(ref_reduce_full(x + d, q) for x in word)
+
+
+def ref_flip(word, z):
+    return tuple(-x for x in word[:z]) + word[z:]
+
+
+def ref_mirror(word, q):
+    top = 2 * ((q + 1) // 2)
+    return tuple(top - x if x > 0 else x for x in word)
+
+
+def ref_side(word, q, nu):
+    sign = 1 if nu == "+" else -1
+    lo = 1 + q % 2 if sign > 0 else -q + 1
+    return [i for i, x in enumerate(word) if sign * x > 0], lo, 2 * (q // 2)
+
+
+def ref_add_sequence(word, positions, lo, mod, z, sign=1):
+    if not positions:
+        return word
+    out = list(word)
+    for i, b in zip(positions, balancing_sequence(z, len(positions), mod // 2)):
+        out[i] = lo + (out[i] + sign * b - lo) % mod
+    return tuple(out)
+
+
+def ref_sb_round(word, q, v, i_v, m_v, big_m, sign=1):
+    sub = sub_alphabet(q, v)
+    lo, mod = sub[0], 2 * len(sub)
+    d_low = sign * (lo - m_v)
+    d_high = sign * (lo - big_m)
+    return tuple(
+        lo + (x + (d_low if i < i_v else d_high) - lo) % mod if x >= lo else x
+        for i, x in enumerate(word)
+    )
+
+
+def ref_payload(u, q, side):
+    """The payload the reference stages give for data word u and side info."""
+    if isinstance(side, SbSide):
+        word = u
+        for v, rnd in enumerate(side.rounds, 1):
+            word = ref_sb_round(word, q, v, *rnd)
+        return word
+    if isinstance(side, CbSide):
+        return ref_add_sequence(u, range(len(u)), -q + 1, 2 * q, side.z)
+    a = getattr(side, "a", None)
+    word = ref_flip(u if a is None else ref_offset(u, q, -a), side.z)
+    if isinstance(side, CpbSide):
+        if side.xi:
+            word = ref_mirror(word, q)
+        positions, lo, mod = ref_side(word, q, side.nu)
+        word = ref_add_sequence(word, positions, lo, mod, side.w)
+    return word
+
+
+def every_symbol_word(q, copies=2, seed=0):
+    """A shuffled word holding each symbol the given number of times."""
+    word = list(symbols(q)) * copies
+    random.Random(f"{seed}:{q}").shuffle(word)
+    return tuple(word)
+
+
+# ---------------------------------------------------------------------------
+# every stage on every symbol, window, shift and cut
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_offset_matches_reduce_full(q):
+    word = symbols(q)
+    for d in range(-2 * q, 2 * q + 1, 2):
+        assert _offset(word, q, d) == ref_offset(word, q, d), d
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_flip_and_mirror(q):
+    word = every_symbol_word(q)
+    for z in range(len(word) + 1):
+        assert _flip(word, z) == ref_flip(word, z), z
+    assert tuple(map(_mirror(q).__getitem__, word)) == ref_mirror(word, q)
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_sequence_matches_the_loop(q):
+    word = every_symbol_word(q)
+    windows = [(range(len(word)), -q + 1, 2 * q)]  # cb: the whole word
+    windows += [ref_side(word, q, nu) for nu in "+-"]  # cpb: one side
+    for (positions, lo, mod), nu in zip(windows, (None, "+", "-")):
+        if nu is not None:
+            assert _side(word, q, nu) == (positions, lo, mod)
+        # every block j and every cut g of the sequence, in both directions
+        for z in range(mod // 2 * len(positions)):
+            for sign in (1, -1):
+                got = _add_sequence(word, q, positions, lo, mod, z, sign)
+                assert got == ref_add_sequence(word, positions, lo, mod, z, sign), (nu, z, sign)
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_sb_round_matches_the_generator(q):
+    word = every_symbol_word(q)
+    for v in range(1, q):
+        sub = sub_alphabet(q, v)
+        for i_v in range(len(word) + 1):
+            for m_v in sub:
+                for big_m in sub:
+                    for sign in (1, -1):
+                        got = _sb_round(word, q, v, i_v, m_v, big_m, sign)
+                        want = ref_sb_round(word, q, v, i_v, m_v, big_m, sign)
+                        assert got == want, (v, i_v, m_v, big_m, sign)
+
+
+# ---------------------------------------------------------------------------
+# long words with boundary indices
+
+K = 2048
+
+
+def charge_balanced(q, seed):
+    """A random word that is both charge- and polarity-balanced."""
+    rng = random.Random(f"cpb:{q}:{seed}")
+    half = rng.choices(symbols(q), k=K // 2)
+    word = list(half) + [-x for x in half]
+    rng.shuffle(word)
+    return tuple(word)
+
+
+def check_roundtrip(kind, q, u, inject, want_side):
+    params = CodecParams(kind, q, K)
+    cw, side = encode(u, params, inject)
+    assert side == want_side
+    assert cw.payload == ref_payload(u, q, side)
+    assert decode(cw, params) == u
+    return cw
+
+
+@pytest.mark.parametrize("kind,q", [("knuth", 2), ("pb", 2), ("pb", 4), ("pb", 5), ("pb", 7)])
+def test_long_pb_boundary_points(kind, q):
+    payload = charge_balanced(q, 0)
+    a = symbols(q)[-1] if q % 2 else None
+    for z in (0, K - 1):
+        flipped = ref_flip(payload, z)
+        u = flipped if a is None else ref_offset(flipped, q, a)
+        want = KnuthSide(z) if kind == "knuth" else PbSide(z, a)
+        inject = {"z": z} if a is None else {"z": z, "a": a}
+        assert check_roundtrip(kind, q, u, inject, want).payload == payload
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_long_cb_boundary_sequences(q):
+    payload = charge_balanced(q, 1)
+    for z in (0, q * K - 1):
+        u = ref_add_sequence(payload, range(K), -q + 1, 2 * q, z, -1)
+        assert check_roundtrip("cb", q, u, {"z": z}, CbSide(z)).payload == payload
+
+
+def ref_cpb_flags(y, q):
+    """(xi, nu) that the encoder derives from its polarity-balanced word y."""
+    k1 = sum(1 for x in y if x > 0)
+    pos_sum = sum(x for x in y if x > 0)
+    neg_sum = -sum(x for x in y if x < 0)
+    pivot = k1 * ((q + 1) // 2)
+    xi = 1 if (pos_sum < pivot < neg_sum or neg_sum < pivot < pos_sum) else 0
+    if xi:
+        pos_sum = sum(x for x in ref_mirror(y, q) if x > 0)
+    nu = "+" if (pos_sum >= neg_sum >= pivot or pos_sum <= neg_sum <= pivot) else "-"
+    return xi, nu
+
+
+@pytest.mark.parametrize("q", [4, 5, 6, 7, 9])
+def test_long_cpb_last_sequence(q):
+    # the last sequence w = (q//2)*k1 - 1 of the side, found by running the
+    # reference stages backwards from a balanced payload
+    found = set()
+    for seed in range(40):
+        payload = charge_balanced(q, seed)
+        k1 = sum(1 for x in payload if x > 0)
+        w = (q // 2) * k1 - 1
+        for xi in (0, 1):
+            for nu in "+-":
+                if (xi, nu) in found:
+                    continue
+                y = ref_add_sequence(payload, *ref_side(payload, q, nu), w, -1)
+                if xi:
+                    y = ref_mirror(y, q)
+                if ref_cpb_flags(y, q) != (xi, nu):
+                    continue
+                z, a = K // 2, symbols(q)[0] if q % 2 else None
+                u = ref_flip(y, z) if a is None else ref_offset(ref_flip(y, z), q, a)
+                inject = {"z": z, "w": w} if a is None else {"z": z, "w": w, "a": a}
+                cw = check_roundtrip("cpb", q, u, inject, CpbSide(z, xi, nu, w, a))
+                assert cw.payload == payload and is_cpb(payload, q)
+                found.add((xi, nu))
+    assert found == {(0, "+"), (0, "-"), (1, "+"), (1, "-")}
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_long_sb_boundary_splits(q):
+    word = list(symbols(q)) * (K // q)
+    random.Random(f"sb:{q}").shuffle(word)
+    u = tuple(word)
+    for split in (0, K):
+        splits = (split,) * (q - 1)
+        params = CodecParams("sb", q, K)
+        cw, side = encode(u, params, {"i": splits})
+        assert [i for i, _, _ in side.rounds] == list(splits)
+        assert cw.payload == ref_payload(u, q, side)
+        assert Counter(cw.payload) == Counter(u)
+        assert decode(cw, params) == u
+
+
+@pytest.mark.parametrize(
+    "kind,q", [("knuth", 2), ("pb", 5), ("pb", 6), ("cb", 3), ("cb", 6), ("cpb", 5), ("cpb", 8), ("sb", 4)]
+)
+def test_long_searched_codewords(kind, q):
+    rng = random.Random(f"search:{kind}:{q}")
+    syms = symbols(q)
+    for skewed in (False, True):
+        weights = [1] * (q - 1) + [3 * q if skewed else 1]
+        u = tuple(rng.choices(syms, weights, k=K))
+        params = CodecParams(kind, q, K)
+        cw, side = encode(u, params)
+        assert cw.payload == ref_payload(u, q, side)
+        assert decode(cw, params) == u
