@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import countOf, gt, lt
@@ -130,6 +129,7 @@ def phi(x: int, q: int | None = None, mode: str = "unit") -> Fraction:
     sign(x)/2.  The half mode is the natural choice for even q, where no
     symbol is zero.  q is accepted for interface symmetry and not used.
     """
+    from fractions import Fraction  # not at module load: count commands never need it
     if mode not in PHI_MODES:
         raise AlphabetError(f"phi mode must be one of {PHI_MODES}, got {mode!r}")
     s = _sign(x)

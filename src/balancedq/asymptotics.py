@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .alphabet import symbols
@@ -50,6 +49,7 @@ def stirling_ln_factorial(n: int) -> float:
 
 
 def _phi_value(s: int, mode: str) -> Fraction:
+    from fractions import Fraction  # not at module load: count commands never need it
     sign = (s > 0) - (s < 0)
     if mode == "charge":
         return Fraction(s, 2)
@@ -165,6 +165,7 @@ def anr(kind: str, q: int) -> Fraction:
     balance, and 1 for joint balance once q >= 4 (two constraints bind);
     for q <= 3 joint balance degenerates to charge balance.
     """
+    from fractions import Fraction  # not at module load: count commands never need it
     kind = check_kind(kind)
     if q < 2:
         raise InfeasibleParamsError(f"alphabet order must be >= 2, got {q}")

@@ -15,7 +15,10 @@ via lexicographic enumerative coding, so the prefix obeys the same balance
 predicate as the payload.
 
 Rank/unrank order words lexicographically under the natural symbol order
--q+1 < -q+3 < ... < q-1.
+-q+1 < -q+3 < ... < q-1.  They walk the word over completion counts built
+once per (kind, q, n) by a backward pass over the walk's own step (cb, pb,
+cpb), or over ratios of multinomials (sb); they do not read the counting
+module's tables, and the walk itself refuses an unbalanced word.
 """
 
 from __future__ import annotations
@@ -25,27 +28,9 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .alphabet import (
-    Word,
-    is_cb,
-    is_cpb,
-    is_pb,
-    is_sb,
-    sub_alphabet,
-    symbols,
-    validate_word,
-)
-from .counting import (
-    RETAINED_MAX,
-    charge_count,
-    check_kind,
-    exact_count,
-    joint_count,
-    polarity_count,
-)
+from .alphabet import Word, sub_alphabet, symbols, validate_word
+from .counting import RETAINED_MAX, _check_nq, check_kind, exact_count
 from .errors import CapacityError, InfeasibleParamsError, InvalidIndexError
-
-PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
 
 
 @dataclass(frozen=True)
@@ -302,96 +287,109 @@ def unpack(value: int, kind: str, q: int, k: int) -> SideInfo:
     return spec.build(items[::-1])
 
 
-def _multinomial(r: int, budgets: Tuple[int, ...]) -> int:
-    if any(b < 0 for b in budgets) or sum(budgets) != r:
-        return 0
-    out = math.factorial(r)
-    for b in budgets:
-        out //= math.factorial(b)
-    return out
-
-
-def _sb_step(budgets: Tuple[int, ...], s: int) -> Tuple[int, ...]:
-    i = (s + len(budgets) - 1) // 2
-    return budgets[:i] + (budgets[i] - 1,) + budgets[i + 1 :]
-
-
-# How rank/unrank walk the words of each balance kind: start(q, n) is the
-# state of the empty prefix, step(state, s) the state after one more symbol
-# s, and capped marks the kinds that read the charge tables, resident only
-# up to RETAINED_MAX.
-_WALKS = {
-    "cb": (lambda q, n: 0, lambda c, s: c - s, True),
-    "pb": (lambda q, n: 0, lambda p, s: p - (s > 0) + (s < 0), False),
-    "cpb": (lambda q, n: (0, 0), lambda cp, s: (cp[0] - s, cp[1] - (s > 0) + (s < 0)), True),
-    "sb": (lambda q, n: (n // q,) * q, _sb_step, False),
+# How rank/unrank walk the words of each balance kind but sb: a state is one
+# int, the sum of its symbols' moves, and a balanced word ends at state 0.  A
+# cpb move packs (charge, polarity) as charge * (2n + 1) + polarity.
+_MOVES = {
+    "cb": lambda q, n: symbols(q),
+    "pb": lambda q, n: [(s > 0) - (s < 0) for s in symbols(q)],
+    "cpb": lambda q, n: [s * (2 * n + 1) + (s > 0) - (s < 0) for s in symbols(q)],
 }
 
 
-def _ranking(kind: str, n: int) -> tuple:
-    """(start, step, count) of kind's walk over words of length n, where
-    count(r, q, state) is the number of balanced completions of r symbols."""
-    start, step, capped = _WALKS[kind]
-    if capped and n > RETAINED_MAX:
+@lru_cache(maxsize=128)
+def _completions(kind: str, q: int, n: int) -> tuple:
+    """(moves, walk) of kind's walk over length-n words: moves maps each
+    symbol to its move, and walk[i] maps each state the walk can be in after
+    i symbols to its number of balanced completions; states without any are
+    left out, so walk[0].get(0, 0) is the number of balanced words."""
+    if kind != "pb" and n > RETAINED_MAX:
         raise CapacityError(
             f"enumerative coding of charge-constrained words supports n <= {RETAINED_MAX}"
         )
-    # read at call time, so that a caller may rebind the counting functions
-    # (the benchmark's tracer does)
-    counts = {
-        "cb": charge_count,
-        "pb": polarity_count,
-        "cpb": lambda r, q, cp: joint_count(r, q, cp[0], cp[1]),
-        "sb": lambda r, q, budgets: _multinomial(r, budgets),
-    }
-    return start, step, counts[kind]
+    moves = dict(zip(symbols(q), _MOVES[kind](q, n)))
+    layers = [{0: 1}]  # layers[r]: completions of r symbols
+    for r in range(1, n + 1):
+        layer = {}
+        get = layer.get
+        for x, c in layers[-1].items():
+            for m in moves.values():
+                layer[x - m] = get(x - m, 0) + c
+        if 2 * r > n:  # keep the states that n - r symbols can reach
+            layer = {x: layer[x] for x in layers[n - r].keys() & layer.keys()}
+        layers.append(layer)
+    return moves, layers[::-1]
 
 
 def rank(word: Sequence[int], kind: str, q: int) -> int:
     """Lexicographic index of word among all kind-balanced words of its length."""
     kind = balance_kind(kind)
     w = validate_word(word, q)
-    if not PREDICATES[kind](w, q):
-        raise InvalidIndexError(f"word is not {kind}-balanced, cannot rank")
     n = len(w)
-    start, step, count = _ranking(kind, n)
-    syms = symbols(q)
-    state = start(q, n)
-    index = 0
-    for i, x in enumerate(w):
-        r = n - i - 1
-        for s in syms:
+    index = state = 0
+    if kind == "sb":
+        # r!/prod(b!) words complete budgets b with r symbols left, and
+        # total * b[t] // r of them go on with symbol t
+        total = exact_count("sb", n, q)
+        budget = [n // q] * q
+        for r, x in zip(range(n, 0, -1), w):
+            t = (x + q - 1) // 2
+            if not budget[t]:
+                raise InvalidIndexError("word is not sb-balanced, cannot rank")
+            index += total * sum(budget[:t]) // r
+            total = total * budget[t] // r
+            budget[t] -= 1
+        return index
+    moves, walk = _completions(kind, q, n)
+    for x, completions in zip(w, walk[1:]):
+        get = completions.get
+        for s, m in moves.items():
             if s >= x:
                 break
-            index += count(r, q, step(state, s))
-        state = step(state, x)
+            index += get(state + m, 0)
+        state += moves[x]
+        if state not in completions:
+            raise InvalidIndexError(f"word is not {kind}-balanced, cannot rank")
     return index
 
 
 def unrank(index: int, n: int, kind: str, q: int) -> Word:
     """Inverse of rank: the index-th kind-balanced word of length n."""
     kind = balance_kind(kind)
-    total = exact_count(kind, n, q)
+    _check_nq(n, q)
+    if kind == "sb":
+        total = exact_count("sb", n, q)
+    else:
+        moves, walk = _completions(kind, q, n)
+        total = walk[0].get(0, 0)
     if not 0 <= index < total:
         raise InvalidIndexError(
             f"index {index} outside 0..{total - 1} for {kind}-balanced words of length {n}"
         )
-    start, step, count = _ranking(kind, n)
-    syms = symbols(q)
-    state = start(q, n)
     out = []
-    for i in range(n):
-        r = n - i - 1
-        for s in syms:
-            nxt = step(state, s)
-            c = count(r, q, nxt)
+    if kind == "sb":
+        syms = symbols(q)
+        budget = [n // q] * q
+        for r in range(n, 0, -1):
+            for t, b in enumerate(budget):
+                c = total * b // r
+                if index < c:
+                    out.append(syms[t])
+                    budget[t] -= 1
+                    total = c
+                    break
+                index -= c
+        return tuple(out)
+    state = 0
+    for completions in walk[1:]:
+        get = completions.get
+        for s, m in moves.items():
+            c = get(state + m, 0)
             if index < c:
                 out.append(s)
-                state = nxt
+                state += m
                 break
             index -= c
-        else:  # pragma: no cover - unreachable once index < total
-            raise InvalidIndexError("exhausted symbols while unranking")
     return tuple(out)
 
 

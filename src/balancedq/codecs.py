@@ -40,9 +40,8 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import gt, lt
 from typing import Dict, Optional, Sequence, Tuple
 
-from .alphabet import Word, is_cb, is_pb, sub_alphabet, symbols, validate_word
+from .alphabet import Word, is_cb, is_cpb, is_pb, is_sb, sub_alphabet, symbols, validate_word
 from .codebook import (
-    PREDICATES,
     SPECS,
     CbSide,
     CpbSide,
@@ -62,6 +61,8 @@ from .errors import (
     InfeasibleParamsError,
     InvalidIndexError,
 )
+
+PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
 
 
 @dataclass(frozen=True)
@@ -308,10 +309,11 @@ def _mirror(q: int) -> Dict[int, int]:
     return {s: top - s if s > 0 else s for s in symbols(q)}
 
 
-def find_cpb_index(word: Sequence[int], nu: str, q: int, target: int) -> int:
-    """Smallest w whose balancing sequence drives the nu-side sum to target."""
-    word = tuple(word)
-    positions, lo, mod = _side(word, q, nu)
+def find_cpb_index(word: Word, q: int, window: tuple, target: int) -> int:
+    """Smallest w whose balancing sequence drives the sum of one side's
+    symbols to target; window is that side's (positions, lo, mod), as _side
+    gives it."""
+    positions, lo, mod = window
     return _find_sequence(tuple(map(word.__getitem__, positions)), q, lo, mod, target)
 
 
@@ -345,10 +347,10 @@ def cpb_encode(
     if want_nu is not None and want_nu != nu:
         raise InvalidIndexError(f"nu={want_nu!r} does not match the derived side {nu!r}")
     target = neg_sum if nu == "+" else -pos_sum
-    positions, lo, mod = _side(y, q, nu)
+    positions, lo, mod = window = _side(y, q, nu)
     w_space = max((q // 2) * k1, 1)
     if w is None:
-        w = find_cpb_index(y, nu, q, target)
+        w = find_cpb_index(y, q, window, target)
     elif not 0 <= w < w_space:
         raise InvalidIndexError(f"w={w} outside 0..{w_space - 1}")
     payload = _add_sequence(y, q, positions, lo, mod, w)
@@ -399,11 +401,10 @@ def _sb_round(
     return _map_cut(word, i_v, first, rest)
 
 
-def find_sb_split(word: Sequence[int], q: int, v: int, m: int) -> int:
+def find_sb_split(word: Word, q: int, v: int, m: int, m_v: int, big_m: int) -> int:
     """Smallest split i_v in [0, k] that leaves exactly m copies of the
-    round's lowest symbol after the rotation."""
-    word = tuple(word)
-    m_v, big_m = _sb_round_stats(word, q, v)
+    round's lowest symbol after the rotation; m_v and big_m are the round's
+    least and most frequent symbols, as _sb_round_stats gives them."""
     # split i moves the copies of m_v before i and of big_m from i on to
     # the lowest symbol
     weight = {s: (s == m_v) - (s == big_m) for s in symbols(q)}
@@ -428,7 +429,7 @@ def sb_encode(
     for v in range(1, q):
         m_v, big_m = _sb_round_stats(word, q, v)
         if splits is None:
-            i_v = find_sb_split(word, q, v, m)
+            i_v = find_sb_split(word, q, v, m, m_v, big_m)
         else:
             i_v = splits[v - 1]
             if not 0 <= i_v <= k:

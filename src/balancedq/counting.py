@@ -6,8 +6,8 @@ All counts are exact Python integers.
   (1 + x + ... + x^(q-1))^n, taken by inclusion-exclusion with exact ratio
   updates.
 - Charge tables (every charge at one length) are grown by a sliding-window
-  step, O(span) per length, and kept resident only up to RETAINED_MAX:
-  they serve the rank/unrank lookups of the enumerative prefix coder.
+  step, O(span) per length, and kept resident only up to RETAINED_MAX,
+  where repeated counts (a sweep, the prefix planner) read them.
 - Polarity and symbol-balanced counts are closed multinomial forms, built
   term by term.
 - cpb counts combine the polarity pattern with the half-alphabet charge

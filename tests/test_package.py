@@ -138,3 +138,18 @@ def test_unknown_name_raises_attribute_error():
 
 def test_cli_constructions_match_the_specs():
     assert cli.CONSTRUCTIONS == tuple(codebook.SPECS) == codebook.CONSTRUCTIONS
+
+
+
+def test_count_commands_do_not_load_fractions():
+    commands = [argv for argv in COUNTING_COMMANDS if argv[0] in ("count", "redundancy")]
+    code = """
+import io, json, sys
+from contextlib import redirect_stdout
+from balancedq import cli
+with redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted({"fractions", "decimal"} & set(sys.modules))]))
+"""
+    codes, loaded = json.loads(run_fresh(code, json.dumps(commands)))
+    assert codes == [0] * len(commands) and loaded == []
