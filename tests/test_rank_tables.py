@@ -146,11 +146,6 @@ DECK_PREFIXES = sorted(
 )
 
 
-def test_deck_prefixes_are_the_known_set():
-    assert len(DECK_PREFIXES) == 58
-    assert max(p for kind, q, p in DECK_PREFIXES if kind != "sb") <= 16
-
-
 @pytest.mark.parametrize("kind,q,p", DECK_PREFIXES)
 def test_random_indices_of_deck_prefixes(kind, q, p):
     total = exact_count(kind, p, q)
