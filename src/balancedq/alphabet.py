@@ -42,18 +42,6 @@ def symbols(q: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def positive_symbols(q: int) -> Word:
-    """The floor(q/2) positive symbols, ascending."""
-    return tuple(s for s in symbols(q) if s > 0)
-
-
-@lru_cache(maxsize=None)
-def negative_symbols(q: int) -> Word:
-    """The floor(q/2) negative symbols, ascending."""
-    return tuple(s for s in symbols(q) if s < 0)
-
-
-@lru_cache(maxsize=None)
 def sub_alphabet(q: int, v: int) -> Word:
     """The q+1-v largest symbols, i.e. {-q-1+2v, ..., q-1}, ascending.
 
@@ -204,11 +192,13 @@ class Alphabet:
 
     @property
     def positive(self) -> Word:
-        return positive_symbols(self.q)
+        """The floor(q/2) positive symbols, ascending."""
+        return symbols(self.q)[(self.q + 1) // 2 :]
 
     @property
     def negative(self) -> Word:
-        return negative_symbols(self.q)
+        """The floor(q/2) negative symbols, ascending."""
+        return symbols(self.q)[: self.q // 2]
 
     def sub(self, v: int) -> Word:
         return sub_alphabet(self.q, v)

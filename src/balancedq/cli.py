@@ -14,9 +14,13 @@ as "prefix|payload".  Exit codes: 0 success, 2 infeasible parameters,
 3 parse error, 4 decode failure.  Data goes to stdout, diagnostics to
 stderr.
 
-The encode/decode half imports codebook and codecs, and the output helpers
-import json and csv, only where they are used, so a counting command loads
-only the counting stack.
+Every command hands its columns and rows to one emitter, ``_emit``, the
+only code that knows the text, json and csv formats.  It prints ints of any
+size: it lifts Python's digit limit on int-to-text conversion for the time
+it prints, so exact counts past 4300 digits print in every format, while
+input parsing keeps the limit.  The encode/decode half imports codebook and
+codecs, and the emitter imports json and csv, only where they are used, so a
+counting command loads only the counting stack.
 """
 
 from __future__ import annotations
@@ -143,10 +147,6 @@ def _side_fields(side) -> List[Tuple[str, object]]:
     return fields
 
 
-def _side_text(side) -> str:
-    return ",".join(f"{name}={value}" for name, value in _side_fields(side))
-
-
 def _side_json(side):
     from .codebook import SPEC_OF_SIDE
 
@@ -157,38 +157,47 @@ def _side_json(side):
     return dict(_side_fields(side))
 
 
-def _print_json(obj) -> None:
-    import json
+def _emit(args: argparse.Namespace, columns: Sequence[str], rows, lines: Sequence[str] = ()):
+    """Print a command's result in args.format; the only writer of stdout.
 
-    print(json.dumps(obj, sort_keys=True))
+    rows is one dict for a single-result command and a list of dicts for a
+    table.  json prints it as one object or a list; csv prints the columns
+    as a header, then the rows; text prints, for a single result, the values
+    of its ``lines`` columns one per line, and a table as right-aligned
+    columns with floats to 4 decimals.  Ints of any size print: the digit
+    limit of int-to-text conversion is lifted here and only here.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", None)  # 3.10.7 and later
+    saved = limit() if limit else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        single = isinstance(rows, dict)
+        table = [rows] if single else rows
+        if args.format == "json":
+            import json
 
+            print(json.dumps(rows, sort_keys=True))
+        elif args.format == "csv":
+            import csv
 
-def _print_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    import csv
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-
-
-def _print_text_table(columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    cells = [[str(v) for v in row] for row in rows]
-    widths = [
-        max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
-        for i, col in enumerate(columns)
-    ]
-    print("  ".join(col.rjust(w) for col, w in zip(columns, widths)))
-    for row in cells:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-
-
-def _emit_table(args, columns: Sequence[str], rows: Sequence[Dict]) -> None:
-    if args.format == "json":
-        _print_json(rows)
-    elif args.format == "csv":
-        _print_csv(columns, [[row[c] for c in columns] for row in rows])
-    else:
-        _print_text_table(columns, [[row[c] for c in columns] for row in rows])
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([row[c] for c in columns] for row in table)
+        elif single:
+            for column in lines:
+                print(rows[column])
+        else:
+            cells = [
+                [f"{v:.4f}" if isinstance(v, float) else str(v) for v in (row[c] for c in columns)]
+                for row in table
+            ]
+            widths = [max([len(c)] + [len(row[i]) for row in cells]) for i, c in enumerate(columns)]
+            for line in [columns, *cells]:
+                print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(saved)
 
 
 def _round4(x: float) -> float:
@@ -206,22 +215,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
     codeword, side = encode(word, params, inject)
     prefix = format_word(codeword.prefix)
     payload = format_word(codeword.payload)
-    if args.format == "json":
-        data = {"prefix": prefix, "payload": payload, "codeword": f"{prefix}|{payload}"}
-        if args.emit_sideinfo:
-            data["sideinfo"] = _side_json(side)
-        _print_json(data)
-    elif args.format == "csv":
-        columns = ["codeword", "prefix", "payload"]
-        row = [f"{prefix}|{payload}", prefix, payload]
-        if args.emit_sideinfo:
-            columns.append("sideinfo")
-            row.append(_side_text(side))
-        _print_csv(columns, [row])
-    else:
-        print(f"{prefix}|{payload}")
-        if args.emit_sideinfo:
-            print(_side_text(side))
+    row = {"codeword": f"{prefix}|{payload}", "prefix": prefix, "payload": payload}
+    if args.emit_sideinfo:
+        if args.format == "json":
+            row["sideinfo"] = _side_json(side)
+        else:
+            row["sideinfo"] = ",".join(f"{name}={value}" for name, value in _side_fields(side))
+    _emit(args, list(row), row, ["codeword", "sideinfo"] if args.emit_sideinfo else ["codeword"])
     return EXIT_OK
 
 
@@ -234,88 +234,55 @@ def cmd_decode(args: argparse.Namespace) -> int:
             f"--k {args.k} does not match the payload length {len(codeword.payload)}"
         )
     params = CodecParams(args.kind, args.q, len(codeword.payload))
-    word = decode(codeword, params)
-    text = format_word(word)
-    if args.format == "json":
-        _print_json({"word": text})
-    elif args.format == "csv":
-        _print_csv(["word"], [[text]])
-    else:
-        print(text)
+    _emit(args, ["word"], {"word": format_word(decode(codeword, params))}, ["word"])
     return EXIT_OK
 
 
-def _scalar_out(args, fields: Dict, value) -> None:
-    if args.format == "json":
-        _print_json({**fields, "value": value})
-    elif args.format == "csv":
-        columns = list(fields) + ["value"]
-        _print_csv(columns, [[fields[c] for c in fields] + [value]])
-    else:
-        print(value)
-
-
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_figure(args: argparse.Namespace) -> int:
+    """count and redundancy: the exact (default) or approximate figure."""
     if args.n < 0:
         raise InfeasibleParamsError(f"word length must be >= 0, got {args.n}")
     mode = "approx" if args.approx else "exact"
-    if mode == "exact":
-        value = exact_count(args.kind, args.n, args.q)
-    else:
+    # looked up at call time, so that a rebinding of the module's names holds
+    figure = globals()[f"{mode}_{args.command}"]
+    try:
+        value = figure(args.kind, args.n, args.q)
+    except OverflowError:
+        raise InfeasibleParamsError(
+            f"the approximate {args.kind} count at n={args.n}, q={args.q} overflows "
+            "a double; use 'redundancy --approx' for its logarithm"
+        ) from None
+    row = {"kind": args.kind, "q": args.q, "n": args.n, "mode": mode, "value": value}
+    _emit(args, list(row), row, ["value"])
+    return EXIT_OK
+
+
+def _redundancy_table(args: argparse.Namespace, kind: str, q: int, lengths) -> int:
+    """Exact and approximate redundancy at each feasible length."""
+    rows = []
+    for n in lengths:
         try:
-            value = approx_count(args.kind, args.n, args.q)
-        except OverflowError:
-            raise InfeasibleParamsError(
-                f"the approximate {args.kind} count at n={args.n}, q={args.q} overflows "
-                "a double; use 'redundancy --approx' for its logarithm"
-            ) from None
-    _scalar_out(args, {"kind": args.kind, "q": args.q, "n": args.n, "mode": mode}, value)
-    return EXIT_OK
-
-
-def cmd_redundancy(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise InfeasibleParamsError(f"word length must be >= 0, got {args.n}")
-    mode = "approx" if args.approx else "exact"
-    if mode == "exact":
-        value = exact_redundancy(args.kind, args.n, args.q)
-    else:
-        value = approx_redundancy(args.kind, args.n, args.q)
-    _scalar_out(args, {"kind": args.kind, "q": args.q, "n": args.n, "mode": mode}, value)
+            exact = exact_redundancy(kind, n, q)
+            approx = approx_redundancy(kind, n, q)
+        except InfeasibleParamsError:
+            continue
+        rows.append({"n": n, "exact": _round4(exact), "approx": _round4(approx)})
+    _emit(args, ["n", "exact", "approx"], rows)
     return EXIT_OK
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    rows = [
-        {
-            "n": n,
-            "exact": _round4(exact_redundancy("cpb", n, 4)),
-            "approx": _round4(approx_redundancy("cpb", n, 4)),
-        }
-        for n in TABLE1_N
-    ]
-    if args.format == "text":
-        shown = [
-            {"n": r["n"], "exact": f"{r['exact']:.4f}", "approx": f"{r['approx']:.4f}"}
-            for r in rows
-        ]
-        _emit_table(args, ["n", "exact", "approx"], shown)
-    else:
-        _emit_table(args, ["n", "exact", "approx"], rows)
-    return EXIT_OK
+    return _redundancy_table(args, "cpb", 4, TABLE1_N)
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
     if args.max_q < 2:
         raise InfeasibleParamsError(f"--max-q must be >= 2, got {args.max_q}")
-    rows = []
-    for q in range(2, args.max_q + 1):
-        row: Dict = {"q": q}
-        for kind in KINDS:
-            value = float(anr(kind, q))
-            row[kind] = f"{value:.4f}" if args.format == "text" else _round4(value)
-        rows.append(row)
-    _emit_table(args, ["q"] + list(KINDS), rows)
+    rows = [
+        {"q": q, **{kind: _round4(float(anr(kind, q))) for kind in KINDS}}
+        for q in range(2, args.max_q + 1)
+    ]
+    _emit(args, ["q", *KINDS], rows)
     return EXIT_OK
 
 
@@ -326,23 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     if args.step < 1:
         raise InfeasibleParamsError(f"--step must be >= 1, got {args.step}")
-    rows = []
-    for n in range(args.start, args.stop + 1, args.step):
-        try:
-            exact = exact_redundancy(args.kind, n, args.q)
-            approx = approx_redundancy(args.kind, n, args.q)
-        except InfeasibleParamsError:
-            continue
-        rows.append({"n": n, "exact": _round4(exact), "approx": _round4(approx)})
-    if args.format == "text":
-        shown = [
-            {"n": r["n"], "exact": f"{r['exact']:.4f}", "approx": f"{r['approx']:.4f}"}
-            for r in rows
-        ]
-        _emit_table(args, ["n", "exact", "approx"], shown)
-    else:
-        _emit_table(args, ["n", "exact", "approx"], rows)
-    return EXIT_OK
+    return _redundancy_table(args, args.kind, args.q, range(args.start, args.stop + 1, args.step))
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -390,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(dec)
     dec.set_defaults(func=cmd_decode)
 
-    for name, func, summary in (
-        ("count", cmd_count, "count balanced words of one length"),
-        ("redundancy", cmd_redundancy, "redundancy of balanced words of one length"),
+    for name, summary in (
+        ("count", "count balanced words of one length"),
+        ("redundancy", "redundancy of balanced words of one length"),
     ):
         cp = sub.add_parser(name, help=summary)
         cp.add_argument("--kind", required=True, choices=KINDS)
@@ -402,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         mode.add_argument("--exact", action="store_true", help="exact value (default)")
         mode.add_argument("--approx", action="store_true", help="Gaussian approximation")
         _add_format(cp)
-        cp.set_defaults(func=func)
+        cp.set_defaults(func=cmd_figure)
 
     t1 = sub.add_parser(
         "table1", help="exact vs approximate redundancy, jointly balanced, q=4"

@@ -303,10 +303,8 @@ def _completions(kind: str, q: int, n: int) -> tuple:
     symbol to its move, and walk[i] maps each state the walk can be in after
     i symbols to its number of balanced completions; states without any are
     left out, so walk[0].get(0, 0) is the number of balanced words."""
-    if kind != "pb" and n > RETAINED_MAX:
-        raise CapacityError(
-            f"enumerative coding of charge-constrained words supports n <= {RETAINED_MAX}"
-        )
+    if n > RETAINED_MAX:
+        raise CapacityError(f"enumerative coding of balanced words supports n <= {RETAINED_MAX}")
     moves = dict(zip(symbols(q), _MOVES[kind](q, n)))
     layers = [{0: 1}]  # layers[r]: completions of r symbols
     for r in range(1, n + 1):

@@ -199,6 +199,11 @@ def test_alphabet_class():
     assert a.symbols == (-4, -2, 0, 2, 4)
     assert a.positive == (2, 4)
     assert a.negative == (-4, -2)
+    for q in range(2, 10):
+        b = Alphabet(q)
+        assert b.positive == tuple(s for s in symbols(q) if s > 0)
+        assert b.negative == tuple(s for s in symbols(q) if s < 0)
+        assert len(b.positive) == len(b.negative) == q // 2
     assert a.sub(2) == (-2, 0, 2, 4)
     assert 4 in a and 3 not in a
     assert len(a) == 5

@@ -1,7 +1,10 @@
 import json
+import sys
+from contextlib import contextmanager
 
 import pytest
 
+from balancedq import exact_count
 from balancedq.cli import main
 
 
@@ -193,6 +196,38 @@ def test_count_approx_overflow_is_infeasible(capsys):
     assert out == ""
     assert "overflows a double" in err and "redundancy --approx" in err
     assert "Traceback" not in err
+
+
+#: Python's digit limit on int-to-text conversion (None before 3.10.7)
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+
+
+@contextmanager
+def any_digits():
+    saved = digit_limit()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_big_counts_print(capsys):
+    limit = digit_limit()
+    code, out, err = run(capsys, "count", "--kind", "cb", "--q", "3", "--n", "10000")
+    assert code == 0 and err == "" and digit_limit() == limit
+    with any_digits():
+        assert out == str(exact_count("cb", 10000, 3)) + "\n" and len(out) > 4301
+    code, out, err = run(
+        capsys, "count", "--kind", "pb", "--q", "4", "--n", "8000", "--format", "json"
+    )
+    assert code == 0 and err == "" and digit_limit() == limit
+    with any_digits():
+        value = exact_count("pb", 8000, 4)
+        assert json.loads(out) == {"kind": "pb", "mode": "exact", "n": 8000, "q": 4, "value": value}
+        assert len(str(value)) > 4300
 
 
 def test_count_json(capsys):

@@ -170,8 +170,8 @@ def test_rank_capacity_cap():
     word = (1, -1) * (n // 2)
     with pytest.raises(CapacityError):
         rank(word, "cb", 2)
-    # polarity ranking has no such cap
-    assert rank(word, "pb", 2) >= 0
+    with pytest.raises(CapacityError):
+        rank(word, "pb", 2)
 
 
 def test_rank_accepts_construction_names():
