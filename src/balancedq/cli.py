@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .alphabet import format_word, parse_word, symbols
 from .asymptotics import anr, approx_count, approx_redundancy
-from .counting import KINDS, exact_count, exact_redundancy
+from .counting import KINDS, _check_nq, exact_count, exact_redundancy
 from .errors import (
     AlphabetError,
     CapacityError,
@@ -259,12 +259,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def _redundancy_table(args: argparse.Namespace, kind: str, q: int, lengths) -> int:
     """Exact and approximate redundancy at each feasible length."""
+    _check_nq(0, q)  # a bad order fails the command; a length fails alone
     rows = []
     for n in lengths:
         try:
             exact = exact_redundancy(kind, n, q)
             approx = approx_redundancy(kind, n, q)
-        except InfeasibleParamsError:
+        except InfeasibleParamsError:  # no balanced word of length n
             continue
         rows.append({"n": n, "exact": _round4(exact), "approx": _round4(approx)})
     _emit(args, ["n", "exact", "approx"], rows)

@@ -29,8 +29,11 @@ from functools import lru_cache, wraps
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .alphabet import Word, sub_alphabet, symbols, validate_word
-from .counting import RETAINED_MAX, _check_nq, check_kind, exact_count
+from .counting import _check_nq, check_kind, exact_count
 from .errors import CapacityError, InfeasibleParamsError, InvalidIndexError
+
+#: Longest word that cb, pb and cpb rank/unrank build completion tables for.
+RETAINED_MAX = 160
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,16 @@ def test_big_counts_print(capsys):
         assert len(str(value)) > 4300
 
 
+def test_count_at_huge_alphabet(capsys):
+    # three symbols balance in (3q^2 + 1)/4 ways at odd q
+    q = 99999999999
+    code, out, err = run(capsys, "count", "--kind", "cb", "--q", str(q), "--n", "3")
+    assert (code, out, err) == (0, "7499999999850000000001\n", "")
+    assert (3 * q * q + 1) // 4 == 7499999999850000000001
+    code, out, err = run(capsys, "count", "--kind", "cb", "--q", "100000", "--n", "200")
+    assert code == 0 and err == "" and out == f"{exact_count('cb', 200, 100000)}\n"
+
+
 def test_count_json(capsys):
     code, out, _ = run(
         capsys, "count", "--kind", "cpb", "--q", "4", "--n", "10", "--format", "json"

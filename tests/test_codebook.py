@@ -10,6 +10,7 @@ from balancedq.codebook import (
     CpbSide,
     KnuthSide,
     PbSide,
+    RETAINED_MAX,
     SbSide,
     balance_kind,
     decode_prefix,
@@ -21,7 +22,7 @@ from balancedq.codebook import (
     unpack,
     unrank,
 )
-from balancedq.counting import RETAINED_MAX, exact_count
+from balancedq.counting import exact_count
 from balancedq.errors import CapacityError, InfeasibleParamsError, InvalidIndexError
 
 PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}

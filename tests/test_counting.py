@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from balancedq import counting
 from balancedq.counting import (
     KINDS,
-    RETAINED_MAX,
     CENSUS_MAX_LENGTH,
     brute_force_count,
     charge_count,
@@ -156,13 +155,13 @@ def test_census_length_cap():
 
 def test_charge_count_beyond_retained_window():
     # q=2 charge balance is a plain central binomial, any length
-    n = RETAINED_MAX + 40
+    n = 200
     assert charge_count(n, 2, 0) == math.comb(n, n // 2)
     assert count_cpb(n, 4) == math.comb(n, n // 2) ** 2
 
 
 def test_census_beyond_retained_window():
-    n = RETAINED_MAX + 20
+    n = 180
     c = joint_census(n, 2)
     assert c.cell(0, 0) == math.comb(n, n // 2)
 
@@ -205,9 +204,16 @@ def test_polarity_negation_symmetry(q, n, p):
     assert polarity_count(n, q, p) == polarity_count(n, q, -p)
 
 
-def test_closed_form_matches_table_for_every_charge(monkeypatch):
-    tables = {q: [counting._charge_table(n, q) for n in range(61)] for q in range(2, 9)}
-    monkeypatch.setattr(counting, "RETAINED_MAX", -1)  # every length takes the closed form
+def _stepped_tables(q, nmax):
+    """The charge tables of lengths 0..nmax, stepped from length 0."""
+    tabs = [(1,)]
+    while len(tabs) <= nmax:
+        tabs.append(counting._charge_step(tabs[-1], q))
+    return tabs
+
+
+def test_closed_form_matches_table_for_every_charge():
+    tables = {q: _stepped_tables(q, 60) for q in range(2, 9)}
     for q, tabs in tables.items():
         for n, tab in enumerate(tabs):
             span = n * (q - 1)
@@ -222,15 +228,36 @@ def test_charge_count_beyond_retained_window_larger_alphabets():
     prev, cur = 1, 1
     for n in range(2, 1001):
         prev, cur = cur, ((2 * n - 1) * cur + 3 * (n - 1) * prev) // n
-        if n > RETAINED_MAX:
+        if n > 160:
             assert charge_count(n, 3, 0) == cur, n
-    # every charge just past the window, against the table stepped onwards
+    # every charge at n=161, against the table stepped there
     for q in range(3, 9):
-        tab = counting._charge_step(counting._charge_table(RETAINED_MAX, q), q)
-        n = RETAINED_MAX + 1
+        n = 161
+        tab = _stepped_tables(q, n)[n]
         span = n * (q - 1)
         got = [charge_count(n, q, c) for c in range(-span, span + 1, 2)]
         assert got == list(tab), q
+
+
+def _inclusion_exclusion(n, q, m):
+    """[x^m] (1 + ... + x^(q-1))^n, each binomial taken directly."""
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(m - q * j + n - 1, n - 1)
+        for j in range(m // q + 1)
+    )
+
+
+def test_charge_count_at_huge_alphabets():
+    # two symbols balance only as s, -s: q words; three balance in
+    # (3q^2 + 1)/4 ways at odd q and never at even q, whose symbols are odd
+    for q in (99_999_999_999, 100_000, 100_001, 10**30 + 1):
+        assert count_cb(2, q) == q
+        assert count_cb(3, q) == (0 if q % 2 == 0 else (3 * q * q + 1) // 4)
+    # past q > n - 1 the tail binomial is taken directly, not by ratios
+    for n, q in ((200, 100_000), (12, 13), (12, 12), (40, 1000)):
+        span = n * (q - 1)
+        for m in (0, 1, q - 1, q, span // 2 - 1, span // 2):
+            assert charge_count(n, q, 2 * m - span) == _inclusion_exclusion(n, q, m), (n, q, m)
 
 
 def test_cpb_even_alphabet_is_binomial_times_half_alphabet_cb():
