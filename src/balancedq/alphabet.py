@@ -34,14 +34,14 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def symbols(q: int) -> Word:
     """All q symbols in ascending order: -q+1, -q+3, ..., q-1."""
     _check_q(q)
     return tuple(range(-q + 1, q, 2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def sub_alphabet(q: int, v: int) -> Word:
     """The q+1-v largest symbols, i.e. {-q-1+2v, ..., q-1}, ascending.
 
@@ -54,7 +54,7 @@ def sub_alphabet(q: int, v: int) -> Word:
     return tuple(range(-q - 1 + 2 * v, q, 2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _symbol_set(q: int) -> frozenset:
     return frozenset(symbols(q))
 

@@ -5,9 +5,10 @@ balancing index plus, depending on the construction, an offset symbol,
 mirror and side flags, or per-round split data).  SPECS holds one Spec per
 construction, the single home of that record's layout: the side-info class,
 the balance kind its prefix and payload obey, and the ordered fields with
-the values a field's digit indexes for given (q, k).  side_info_space,
-pack and unpack here, the inject routing of codecs.encode and the CLI's
-side-info text all read the spec.
+the values a field's digit indexes for given (q, k).  plan checks a
+(construction, q, k) once and resolves it into a cached PrefixPlan, the
+single per-triple record that side_info_space, pack, unpack, the prefix
+coders and every codec call read; the CLI's side-info text reads the spec.
 
 The record is packed into a single integer with the spec's mixed-radix
 layout, and that integer is spelled as a balanced word of fixed length p
@@ -24,8 +25,8 @@ module's tables, and the walk itself refuses an unbalanced word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache, wraps
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .alphabet import Word, sub_alphabet, symbols, validate_word
@@ -205,33 +206,6 @@ def _check_construction_params(kind: str, q: int, k: int) -> str:
     return kind
 
 
-def _checked_cache(fn: Callable) -> Callable:
-    """fn(kind, q, k) cached per valid triple; the check runs before the
-    cache, which cannot hash a list or a dict."""
-    cached = lru_cache(maxsize=4096)(fn)
-    checked = wraps(fn)(lambda kind, q, k: cached(_check_construction_params(kind, q, k), q, k))
-    checked.cache_info = cached.cache_info
-    return checked
-
-
-@_checked_cache
-def _layout(kind: str, q: int, k: int) -> tuple:
-    """(spec, (field, values) of every packed digit, most significant first,
-    side-info space) of a valid (kind, q, k)."""
-    spec = SPECS[kind]
-    layout = tuple(
-        (f, f.values if isinstance(f.values, tuple) else f.values(q, k, v))
-        for v in (spec.rounds(q) if spec.rounds else (None,))
-        for f in spec.fields
-    )
-    return spec, layout, math.prod(len(values) for _, values in layout)
-
-
-def side_info_space(kind: str, q: int, k: int) -> int:
-    """Number of distinct packed side-info values P for a construction."""
-    return _layout(kind, q, k)[2]
-
-
 @dataclass(frozen=True)
 class PrefixPlan:
     """Fixed prefix layout for one (construction, q, k) triple.
@@ -239,6 +213,8 @@ class PrefixPlan:
     space is the side-info count P; unbalanced_length is log_q(P), the
     length an unconstrained prefix would need; length is the smallest
     feasible balanced-prefix length p with exact_count(kind, p, q) >= P.
+    spec and balance are the construction's Spec and balance kind; digits
+    holds the (field, values) of each packed digit, most significant first.
     """
 
     kind: str
@@ -247,47 +223,75 @@ class PrefixPlan:
     space: int
     unbalanced_length: float
     length: int
+    spec: Spec = field(compare=False, repr=False)
+    balance: str = field(compare=False, repr=False)
+    digits: Tuple[Tuple[Field, Sequence], ...] = field(compare=False, repr=False)
 
 
-@_checked_cache
-def plan(kind: str, q: int, k: int) -> PrefixPlan:
-    """Compute the prefix plan for a construction."""
-    space = side_info_space(kind, q, k)
-    bkind = balance_kind(kind)
+# typed, so that True or 7.0 misses the entry of 1 or 7 and meets the check
+@lru_cache(maxsize=4096, typed=True)
+def _plan(kind: str, q: int, k: int) -> PrefixPlan:
+    kind = _check_construction_params(kind, q, k)
+    spec = SPECS[kind]
+    digits = tuple(
+        (f, f.values if isinstance(f.values, tuple) else f.values(q, k, v))
+        for v in (spec.rounds(q) if spec.rounds else (None,))
+        for f in spec.fields
+    )
+    space = math.prod(len(values) for _, values in digits)
     p = 1  # lengths with no balanced words count 0 and are passed over
-    while exact_count(bkind, p, q) < space:
+    while exact_count(spec.balance, p, q) < space:
         p += 1
-    return PrefixPlan(kind, q, k, space, math.log(space) / math.log(q), p)
+    unbalanced_length = math.log(space) / math.log(q)
+    return PrefixPlan(kind, q, k, space, unbalanced_length, p, spec, spec.balance, digits)
+
+
+def plan(kind: str, q: int, k: int) -> PrefixPlan:
+    """The prefix plan of a construction, checked and built once per triple."""
+    try:
+        return _plan(kind, q, k)
+    except TypeError:  # an unhashable argument, which the check refuses
+        _check_construction_params(kind, q, k)
+        raise
+
+
+plan.cache_info = _plan.cache_info  # type: ignore[attr-defined]
+
+
+def side_info_space(kind: str, q: int, k: int) -> int:
+    """Number of distinct packed side-info values P for a construction."""
+    return plan(kind, q, k).space
 
 
 def pack(side: SideInfo, kind: str, q: int, k: int) -> int:
     """Pack side info into its mixed-radix integer in [0, P)."""
-    spec, layout, _ = _layout(kind, q, k)
+    prefix_plan = plan(kind, q, k)
+    spec, digits = prefix_plan.spec, prefix_plan.digits
     if not isinstance(side, spec.side):
         raise InvalidIndexError(f"expected {spec.side.__name__}, got {type(side).__name__}")
     items = spec.items(side)
     width = len(spec.fields)
-    if len(items) != len(layout) or (spec.rounds and {len(g) for g in side.rounds} != {width}):
-        raise InvalidIndexError(f"expected {len(layout) // width} group(s) of {width} values")
+    if len(items) != len(digits) or (spec.rounds and {len(g) for g in side.rounds} != {width}):
+        raise InvalidIndexError(f"expected {len(digits) // width} group(s) of {width} values")
     value = 0
-    for (field, values), item in zip(layout, items):
+    for (f, values), item in zip(digits, items):
         try:
             value = value * len(values) + values.index(item)
         except ValueError:
-            raise InvalidIndexError(f"{field.name}={item!r} is not one of {values!r}") from None
+            raise InvalidIndexError(f"{f.name}={item!r} is not one of {values!r}") from None
     return value
 
 
 def unpack(value: int, kind: str, q: int, k: int) -> SideInfo:
     """Inverse of pack; value must lie in [0, P)."""
-    spec, layout, space = _layout(kind, q, k)
-    if not 0 <= value < space:
-        raise InvalidIndexError(f"packed side info {value} outside 0..{space - 1}")
+    prefix_plan = plan(kind, q, k)
+    if not 0 <= value < prefix_plan.space:
+        raise InvalidIndexError(f"packed side info {value} outside 0..{prefix_plan.space - 1}")
     items = []
-    for _, values in reversed(layout):
+    for _, values in reversed(prefix_plan.digits):
         value, digit = divmod(value, len(values))
         items.append(values[digit])
-    return spec.build(items[::-1])
+    return prefix_plan.spec.build(items[::-1])
 
 
 # How rank/unrank walk the words of each balance kind but sb: a state is one
@@ -397,7 +401,7 @@ def unrank(index: int, n: int, kind: str, q: int) -> Word:
 def encode_prefix(side: SideInfo, prefix_plan: PrefixPlan) -> Word:
     """Spell side info as a balanced word of the planned prefix length."""
     value = pack(side, prefix_plan.kind, prefix_plan.q, prefix_plan.k)
-    return unrank(value, prefix_plan.length, balance_kind(prefix_plan.kind), prefix_plan.q)
+    return unrank(value, prefix_plan.length, prefix_plan.balance, prefix_plan.q)
 
 
 def decode_prefix(word: Sequence[int], prefix_plan: PrefixPlan) -> SideInfo:
@@ -407,5 +411,5 @@ def decode_prefix(word: Sequence[int], prefix_plan: PrefixPlan) -> SideInfo:
         raise InvalidIndexError(
             f"prefix length {len(w)} does not match plan length {prefix_plan.length}"
         )
-    value = rank(w, balance_kind(prefix_plan.kind), prefix_plan.q)
+    value = rank(w, prefix_plan.balance, prefix_plan.q)
     return unpack(value, prefix_plan.kind, prefix_plan.q, prefix_plan.k)

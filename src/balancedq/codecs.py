@@ -42,13 +42,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .alphabet import Word, is_cb, is_cpb, is_pb, is_sb, sub_alphabet, symbols, validate_word
 from .codebook import (
-    SPECS,
     CbSide,
     CpbSide,
     Field,
     KnuthSide,
     PbSide,
-    PrefixPlan,
     SbSide,
     SideInfo,
     decode_prefix,
@@ -56,6 +54,7 @@ from .codebook import (
     plan,
 )
 from .errors import (
+    AlphabetError,
     BalancingInvariantError,
     DecodeError,
     InfeasibleParamsError,
@@ -65,22 +64,33 @@ from .errors import (
 PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
 
 
-@dataclass(frozen=True)
 class CodecParams:
-    """Validated (construction, q, k) triple with its prefix plan."""
+    """Validated (construction, q, k) triple with its prefix plan; equal
+    triples give one shared instance, so treat it as read-only."""
 
-    kind: str
-    q: int
-    k: int
+    __slots__ = ("kind", "q", "k", "plan")
 
-    def __post_init__(self) -> None:
-        prefix_plan = plan(self.kind, self.q, self.k)
-        object.__setattr__(self, "kind", prefix_plan.kind)
-        object.__setattr__(self, "_plan", prefix_plan)
+    def __new__(cls, kind: str, q: int, k: int) -> CodecParams:
+        return _shared_params(plan(kind, q, k).kind, q, k)  # plan checks the triple
 
-    @property
-    def plan(self) -> PrefixPlan:
-        return self._plan  # type: ignore[attr-defined]
+    def __repr__(self) -> str:
+        return f"CodecParams(kind={self.kind!r}, q={self.q!r}, k={self.k!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is CodecParams and other.plan == self.plan
+
+    def __hash__(self) -> int:
+        return hash(self.plan)
+
+    def __reduce__(self) -> tuple:  # copies and unpickles to the shared instance
+        return CodecParams, (self.kind, self.q, self.k)
+
+
+@lru_cache(maxsize=4096)
+def _shared_params(kind: str, q: int, k: int) -> CodecParams:
+    params = object.__new__(CodecParams)
+    params.kind, params.q, params.k, params.plan = kind, q, k, plan(kind, q, k)
+    return params
 
 
 @dataclass(frozen=True)
@@ -302,7 +312,7 @@ def _side(word: Word, q: int, nu: str) -> Tuple[list, int, int]:
     return list(compress(range(len(word)), on_side)), lo, 2 * (q // 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _mirror(q: int) -> Dict[int, int]:
     """Symbol map that reverses the order of the positive symbols."""
     top = 2 * ((q + 1) // 2)
@@ -470,17 +480,13 @@ def _checked_prefix(cw: Codeword, params: CodecParams, kind: str) -> SideInfo:
     if params.kind != kind:
         raise InfeasibleParamsError(f"params are for {params.kind!r}, not {kind!r}")
     try:
-        prefix = validate_word(cw.prefix, params.q)
         payload = validate_word(cw.payload, params.q)
-    except Exception as exc:
+        if len(payload) != params.k:
+            raise DecodeError(f"expected a length-{params.k} payload, got {len(payload)}")
+        side = decode_prefix(cw.prefix, params.plan)  # rank validates the prefix
+    except (AlphabetError, InvalidIndexError, TypeError) as exc:
         raise DecodeError(str(exc)) from exc
-    if len(payload) != params.k:
-        raise DecodeError(f"expected a length-{params.k} payload, got {len(payload)}")
-    try:
-        side = decode_prefix(prefix, params.plan)
-    except InvalidIndexError as exc:
-        raise DecodeError(str(exc)) from exc
-    balance = SPECS[kind].balance
+    balance = params.plan.balance
     if not PREDICATES[balance](payload, params.q):
         raise DecodeError(f"payload is not {balance}-balanced")
     return side
@@ -506,7 +512,7 @@ def encode(
     (sb: sequence of q-1 splits).  Injected values are validated and
     rejected with InvalidIndexError when not balancing.
     """
-    spec = SPECS[params.kind]
+    spec = params.plan.spec
     inject = dict(inject or {})
     kwargs = {
         f.arg or f.name: _injected(f, spec.rounds is not None, inject.pop(f.name, None))

@@ -1,15 +1,19 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from balancedq.alphabet import is_cb, is_cpb, is_pb, is_sb, symbols
+from balancedq import codebook, codecs
+from balancedq.alphabet import _symbol_set, is_cb, is_cpb, is_pb, is_sb, sub_alphabet, symbols
 from balancedq.asymptotics import approx_redundancy
 from balancedq.codebook import CpbSide, balance_kind, encode_prefix, plan, side_info_space
 from balancedq.codecs import (
     CodecParams,
     Codeword,
+    _mirror,
     balancing_sequence,
     cb_encode,
     cpb_encode,
@@ -472,3 +476,85 @@ def test_params_must_be_integers(q, k):
         CodecParams("pb", q, k)
     with pytest.raises(InfeasibleParamsError):
         side_info_space("cb", q, k)
+
+
+# ---------------------------------------------------------------------------
+# one checked, cached record per (construction, q, k)
+
+ONE_PER_KIND = [("knuth", 2, 8), ("pb", 5, 7), ("cb", 4, 8), ("cpb", 5, 6), ("sb", 3, 6)]
+
+
+def test_params_are_shared_per_triple():
+    params = CodecParams("cb", 5, 7)
+    assert params is CodecParams("cb", 5, 7)
+    assert repr(params) == "CodecParams(kind='cb', q=5, k=7)"
+    assert params == CodecParams("CB", 5, 7) and hash(params) == hash(CodecParams("CB", 5, 7))
+    assert params != CodecParams("cb", 5, 8)
+    assert params.plan is plan("cb", 5, 7)
+    assert copy.copy(params) is params and pickle.loads(pickle.dumps(params)) is params
+
+
+def roundtrip(kind, q, k):
+    u = (symbols(q)[-1],) * k
+    params = CodecParams(kind, q, k)
+    assert decode(encode(u, params)[0], params) == u
+
+
+def record_calls(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+@pytest.mark.parametrize("kind,q,k", ONE_PER_KIND)
+def test_warm_roundtrip_checks_once_per_word(monkeypatch, kind, q, k):
+    roundtrip(kind, q, k)
+    calls = []
+    record_calls(monkeypatch, codebook, "_check_construction_params", calls)
+    for owner in (codecs, codebook):
+        record_calls(monkeypatch, owner, "validate_word", calls)
+    roundtrip(kind, q, k)
+    # the data word, the payload, and the prefix (in rank); no triple check
+    assert calls == ["validate_word"] * 3
+
+
+def test_cached_triples_do_not_answer_for_bools_and_floats():
+    plan("cb", 5, 1)
+    CodecParams("cb", 5, 7)
+    with pytest.raises(InfeasibleParamsError):
+        plan("cb", 5, True)
+    with pytest.raises(InfeasibleParamsError):
+        CodecParams("cb", 5, 7.0)
+
+
+@pytest.mark.parametrize("kind,q,k", ONE_PER_KIND)
+def test_malformed_codewords_raise_decode_error(kind, q, k):
+    params = CodecParams(kind, q, k)
+    cw, _ = encode((symbols(q)[-1],) * k, params)
+    prefix, payload = cw.prefix, cw.payload
+    bad = [Codeword(5, payload), Codeword(prefix, 5), Codeword(None, payload)]
+    for symbol in (True, 1.0, "1"):
+        bad += [
+            Codeword((symbol,) + prefix[1:], payload),
+            Codeword(prefix, (symbol,) + payload[1:]),
+        ]
+    bad += [
+        Codeword(prefix + prefix[:1], payload),
+        Codeword(prefix[:-1], payload),
+        Codeword(prefix, payload + payload[:1]),
+        Codeword(prefix, payload[:-1]),
+    ]
+    for cw in bad:
+        with pytest.raises(DecodeError):
+            decode(cw, params)
+    with pytest.raises(DecodeError, match="'int' object is not iterable"):
+        decode(Codeword(prefix, 5), params)
+
+
+def test_symbol_caches_are_bounded():
+    for cached in (symbols, sub_alphabet, _symbol_set, _mirror):
+        assert isinstance(cached.cache_info().maxsize, int)
