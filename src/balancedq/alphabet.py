@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import countOf, gt, lt
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import AlphabetError, WordParseError
 
@@ -57,6 +57,12 @@ def sub_alphabet(q: int, v: int) -> Word:
 @lru_cache(maxsize=1024)
 def _symbol_set(q: int) -> frozenset:
     return frozenset(symbols(q))
+
+
+@lru_cache(maxsize=1024)
+def _sign_table(q: int) -> Dict[int, int]:
+    """{symbol: sign} of the order-q alphabet, for one-pass polarity sums."""
+    return {s: _sign(s) for s in symbols(q)}
 
 
 def validate_word(word: Sequence[int], q: int) -> Word:
@@ -145,6 +151,11 @@ def is_cb(word: Sequence[int], q: int) -> bool:
 
 def is_pb(word: Sequence[int], q: int) -> bool:
     """Polarity-balanced: as many positive as negative symbols (zeros free)."""
+    try:  # one pass over the cached sign table, once the word is as long as q
+        if len(word) >= q:
+            return sum(map(_sign_table(q).__getitem__, word)) == 0
+    except (AlphabetError, KeyError, TypeError):  # a foreign symbol, or no valid q
+        pass
     return sum(map(gt, word, repeat(0))) == sum(map(lt, word, repeat(0)))
 
 

@@ -276,9 +276,12 @@ def pack(side: SideInfo, kind: str, q: int, k: int) -> int:
     value = 0
     for (f, values), item in zip(digits, items):
         try:
-            value = value * len(values) + values.index(item)
+            digit = values.index(item)
+            if type(values[digit]) is not type(item):  # True, 1.0: equal, but refused
+                raise ValueError
         except ValueError:
             raise InvalidIndexError(f"{f.name}={item!r} is not one of {values!r}") from None
+        value = value * len(values) + digit
     return value
 
 

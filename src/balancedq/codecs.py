@@ -16,9 +16,13 @@ bipolar case:
 
 Every payload stage is one pass of cached symbol maps over the word, with
 at most one cut: the flip at z, the pb offset, the cpb mirror, an sb round
-at its split, a balancing sequence at its g-th position.  cb and cpb share
-one sequence transform and one sliding index search; they differ in the
-positions the sequence covers and in the sub-alphabet window it rotates.
+at its split, a balancing sequence at its g-th position.  Each statistic is
+one pass too: polarity sums read a cached sign table, and cpb reads k1, its
+positive sum and its '+' window off one list of positive positions.  cb and
+cpb share one sequence transform and one sliding index search, which makes
+one pass per block of sequences over a cached table of per-symbol steps;
+they differ in the positions the sequence covers and in the sub-alphabet
+window it rotates.
 
 Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
@@ -40,7 +44,17 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import gt, lt
 from typing import Dict, Optional, Sequence, Tuple
 
-from .alphabet import Word, is_cb, is_cpb, is_pb, is_sb, sub_alphabet, symbols, validate_word
+from .alphabet import (
+    Word,
+    _sign_table,
+    is_cb,
+    is_cpb,
+    is_pb,
+    is_sb,
+    sub_alphabet,
+    symbols,
+    validate_word,
+)
 from .codebook import (
     CbSide,
     CpbSide,
@@ -112,6 +126,14 @@ def _rotation(q: int, lo: int, mod: int, d: int) -> Dict[int, int]:
     return {s: lo + (s + d - lo) % mod if lo <= s < lo + mod else s for s in symbols(q)}
 
 
+@lru_cache(maxsize=1024)
+def _rotation_step(q: int, lo: int, mod: int, d: int) -> Dict[int, int]:
+    """Symbol map: what rotating the window by d+2 instead of d adds to each
+    symbol (0 off the window)."""
+    after, before = _rotation(q, lo, mod, d + 2), _rotation(q, lo, mod, d)
+    return {s: after[s] - before[s] for s in before}
+
+
 def _map_cut(word: Word, cut: int, first: Dict[int, int], rest: Dict[int, int]) -> Word:
     """word with the map first applied to word[:cut] and rest to the rest."""
     # no slices: CPython keeps freed tuples of up to 20 items on free lists
@@ -160,11 +182,22 @@ def find_pb_offset(u: Sequence[int], q: int) -> int:
     raise BalancingInvariantError("no feasible offset symbol found")
 
 
+def _signs(u: Sequence[int], q: Optional[int]) -> list:
+    """The signs of u's symbols: one pass over the sign table, or the generic
+    comparisons for a word shorter than q, a foreign symbol or no valid q."""
+    try:
+        if len(u) >= q:
+            return list(map(_sign_table(q).__getitem__, u))
+    except (AlphabetError, KeyError, TypeError):
+        pass
+    zeros = repeat(0)
+    return list(map(operator.sub, map(gt, u, zeros), map(lt, u, zeros)))
+
+
 def find_pb_index(u: Sequence[int], q: Optional[int] = None) -> int:
     """Smallest z in [0, k) such that inverting the first z polarities
     balances the word.  At q=2 the symbols are their own polarities."""
-    zeros = repeat(0)
-    signs = u if q == 2 else list(map(operator.sub, map(gt, u, zeros), map(lt, u, zeros)))
+    signs = u if q == 2 else _signs(u, q)
     total = sum(signs)
     # inverting the first z polarities subtracts twice their sum; a match
     # at z = k would mean total = 0, which z = 0 already matches
@@ -262,16 +295,13 @@ def _add_sequence(
 def _find_sequence(cur: Word, q: int, lo: int, mod: int, target: int) -> int:
     """Smallest z whose balancing sequence, added as in _add_sequence to the
     window symbols cur, brings their sum to target."""
-    step = _rotation(q, lo, mod, 2).__getitem__
-    n = len(cur)
-    for block in range(mod // 2):
-        # sequence block*n + g adds 2 more on the first g positions than
-        # sequence block*n does; g = n is the next block's g = 0
-        nxt = tuple(map(step, cur))
-        running = accumulate(map(operator.sub, nxt, cur), initial=sum(cur))
-        with suppress(ValueError):
-            return block * n + operator.indexOf(running, target)
-        cur = nxt
+    # sequence z = j*n + g of block j adds 2 more on its first g positions
+    # than sequence j*n, and j*n + n is the next block's g = 0; so the sums of
+    # the sequences in order are one running sum, one pass per block
+    steps = (_rotation_step(q, lo, mod, 2 * j).__getitem__ for j in range(mod // 2))
+    running = accumulate(chain.from_iterable(map(step, cur) for step in steps), initial=sum(cur))
+    with suppress(ValueError):
+        return operator.indexOf(running, target)
     raise BalancingInvariantError("no balancing sequence reaches the target sum")
 
 
@@ -304,12 +334,14 @@ def cb_decode(cw: Codeword, params: CodecParams) -> Word:
 # joint charge and polarity balancing
 
 
-def _side(word: Word, q: int, nu: str) -> Tuple[list, int, int]:
-    """Positions of the nu side's symbols in word, and the lowest symbol and
-    the modulus of that half-alphabet."""
-    on_side = map(gt if nu == "+" else lt, word, repeat(0))
+def _side(word: Word, q: int, nu: str, positions: Optional[list] = None) -> Tuple[list, int, int]:
+    """Positions of the nu side's symbols in word, unless given, and the
+    lowest symbol and the modulus of that half-alphabet."""
+    if positions is None:
+        on_side = map(gt if nu == "+" else lt, word, repeat(0))
+        positions = list(compress(range(len(word)), on_side))
     lo = 1 + q % 2 if nu == "+" else -q + 1
-    return list(compress(range(len(word)), on_side)), lo, 2 * (q // 2)
+    return positions, lo, 2 * (q // 2)
 
 
 @lru_cache(maxsize=1024)
@@ -337,17 +369,19 @@ def cpb_encode(
     nu: Optional[str] = None,
 ) -> Tuple[Codeword, CpbSide]:
     u = _checked_payload(u, params, "cpb")
-    q = params.q
+    q, k = params.q, params.k
     want_xi, want_nu = xi, nu
-    y, a, z = _pb_stage(u, q, params.k, a, z)
-    k1 = sum(map(gt, y, repeat(0)))
-    pos_sum = sum(filter((0).__lt__, y))
+    y, a, z = _pb_stage(u, q, k, a, z)
+    # the positive positions give k1, the positive sum and the '+' window
+    plus = list(compress(range(k), map(gt, y, repeat(0))))
+    k1 = len(plus)
+    pos_sum = sum(map(y.__getitem__, plus))
     neg_sum = pos_sum - sum(y)
     pivot = k1 * ((q + 1) // 2)
     xi = 1 if (pos_sum < pivot < neg_sum or neg_sum < pivot < pos_sum) else 0
-    if xi:
+    if xi:  # the mirror keeps the positive positions and maps s to 2*((q+1)//2) - s
         y = tuple(map(_mirror(q).__getitem__, y))
-        pos_sum = sum(filter((0).__lt__, y))
+        pos_sum = 2 * pivot - pos_sum
     # after the mirror both side sums sit on the same side of the pivot; a
     # word without nonzero symbols gets xi=0, nu='+' and w=0
     nu = "+" if (pos_sum >= neg_sum >= pivot or pos_sum <= neg_sum <= pivot) else "-"
@@ -357,7 +391,7 @@ def cpb_encode(
     if want_nu is not None and want_nu != nu:
         raise InvalidIndexError(f"nu={want_nu!r} does not match the derived side {nu!r}")
     target = neg_sum if nu == "+" else -pos_sum
-    positions, lo, mod = window = _side(y, q, nu)
+    positions, lo, mod = window = _side(y, q, nu, plus if nu == "+" else None)
     w_space = max((q // 2) * k1, 1)
     if w is None:
         w = find_cpb_index(y, q, window, target)

@@ -119,6 +119,32 @@ def test_pack_rejects_bad_fields():
         pack(CbSide(2), "pb", 4, 6)
 
 
+@pytest.mark.parametrize(
+    "side,kind,q,k",
+    [
+        (CbSide(True), "cb", 5, 7),  # equals z=1
+        (CbSide(1.0), "cb", 5, 7),
+        (PbSide(2.0, 2.0), "pb", 5, 7),  # equals PbSide(2, 2), packed as 23
+        (PbSide(2, 2.0), "pb", 5, 7),  # a symbol digit
+        (PbSide(2.0, 2), "pb", 5, 7),  # a range digit
+        (KnuthSide(False), "knuth", 2, 6),
+        (CpbSide(1, True, "+", 0, -2), "cpb", 5, 7),
+        (CpbSide(1, 0, "+", 0.0, -2), "cpb", 5, 7),
+        (SbSide(((True, 2, 0), (3, 2, 0))), "sb", 3, 6),
+        (SbSide(((1, 2, 0.0), (3, 2, 0))), "sb", 3, 6),
+    ],
+)
+def test_pack_refuses_equal_items_of_another_type(side, kind, q, k):
+    with pytest.raises(InvalidIndexError):
+        pack(side, kind, q, k)
+
+
+def test_pack_accepts_the_ints_they_equal():
+    assert pack(CbSide(1), "cb", 5, 7) == 1
+    assert pack(PbSide(2, 2), "pb", 5, 7) == 23
+    pack(SbSide(((1, 2, 0), (3, 2, 0))), "sb", 3, 6)
+
+
 def test_unpack_range():
     with pytest.raises(InvalidIndexError):
         unpack(840, "cpb", 5, 7)

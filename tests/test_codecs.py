@@ -28,7 +28,13 @@ from balancedq.codecs import (
     sb_encode,
 )
 from balancedq.counting import exact_count
-from balancedq.errors import AlphabetError, DecodeError, InfeasibleParamsError, InvalidIndexError
+from balancedq.errors import (
+    AlphabetError,
+    BalancingInvariantError,
+    DecodeError,
+    InfeasibleParamsError,
+    InvalidIndexError,
+)
 
 PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
 
@@ -167,6 +173,70 @@ def test_find_pb_offset_parity():
 
 def test_find_pb_index_balances():
     assert find_pb_index((-4, -4, 0, 2, 2, 2, 2)) == 6
+
+
+# ---------------------------------------------------------------------------
+# polarity sums outside the alphabet: the sign table must not change an answer
+
+
+def two_pass_is_pb(word):
+    return sum(x > 0 for x in word) == sum(x < 0 for x in word)
+
+
+def two_pass_pb_index(u, q):
+    """find_pb_index by its definition, with signs from two comparisons."""
+    signs = u if q == 2 else [(x > 0) - (x < 0) for x in u]
+    prefixes = [0]  # the polarity sum of the first z symbols, z = 0..k
+    for s in signs:
+        prefixes.append(prefixes[-1] + s)
+    half = sum(signs) / 2
+    return prefixes.index(half) if half in prefixes else None
+
+
+FOREIGN = (True, False, 1.0, -1.0, 2.0, 0.5, -1.5, 3, -7, 10**6, 2**70)
+BAD_ORDERS = (None, 0, 1, -3, 2.5, 5.0, "5", True, 10**12)
+
+
+def outside_words(q):
+    """Words at least q long that hold each foreign value among the order-q
+    symbols, balanced and not, plus the empty word and a word shorter than q."""
+    rng = random.Random(f"outside:{q}")
+    words = [(), symbols(q)[-1:]]
+    for bad in FOREIGN:
+        for base in (symbols(q) * 3, tuple(rng.choices(symbols(q), k=3 * q))):
+            for i in (0, rng.randrange(len(base))):
+                words.append(base[:i] + (bad,) + base[i + 1 :])
+                words.append(base[:i] + (bad, -bad) + base[i + 2 :])
+    return words
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_polarity_sums_keep_their_answers_outside_the_alphabet(q):
+    for word in outside_words(q):
+        want = two_pass_is_pb(word)
+        assert is_pb(word, q) is want, word
+        assert is_cpb(word, q) is (sum(word) == 0 and want), word
+        for bad_q in BAD_ORDERS:
+            assert is_pb(word, bad_q) is want, (word, bad_q)
+            assert is_cpb(word, bad_q) is (sum(word) == 0 and want), (word, bad_q)
+        for order in (q, None):
+            want_z = two_pass_pb_index(word, order)
+            if want_z is None:
+                with pytest.raises(BalancingInvariantError):
+                    find_pb_index(word, order)
+            else:
+                assert find_pb_index(word, order) == want_z, (word, order)
+
+
+def test_polarity_sums_of_uncomparable_symbols_still_raise():
+    word = (1, -1, "a", 3)
+    for q in (2, 4, None, 1):
+        with pytest.raises(TypeError):
+            is_pb(word, q)
+    with pytest.raises(TypeError):
+        find_pb_index(word, 4)
+    with pytest.raises(TypeError):
+        find_pb_index(word)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ side of one cut.  The reference functions below are the per-symbol formulas
 those maps replaced; each stage must agree with them on every symbol, every
 window the codecs use, every shift and every cut, and whole codewords at
 k=2048 must equal what the reference stages give for the same side info.
+At k near 1023 and at 2048, each default index search must pick the index
+that a per-symbol scan picks.
 """
 
 import random
@@ -25,7 +27,12 @@ from balancedq.codecs import (
     balancing_sequence,
     decode,
     encode,
+    find_cb_index,
+    find_cpb_index,
+    find_pb_index,
+    find_sb_split,
 )
+from balancedq.errors import BalancingInvariantError
 
 ORDERS = range(2, 10)
 
@@ -262,3 +269,130 @@ def test_long_searched_codewords(kind, q):
         cw, side = encode(u, params)
         assert cw.payload == ref_payload(u, q, side)
         assert decode(cw, params) == u
+
+
+# ---------------------------------------------------------------------------
+# the default searches against per-symbol scans at long k
+
+
+def ref_pb_index(u, q):
+    """Smallest z in [0, k) whose flip of the first z polarities balances u,
+    or None: a scan that updates the polarity sum one symbol at a time."""
+    signs = u if q == 2 else [(x > 0) - (x < 0) for x in u]
+    balance = sum(signs)
+    for z, s in enumerate(signs):
+        if balance == 0:
+            return z
+        balance -= 2 * s
+    return None
+
+
+def ref_sequence_index(cur, lo, mod, target):
+    """Smallest z whose balancing sequence brings the window symbols cur to
+    target, or None: sequence j*n + g adds 2j+2 on its first g symbols and
+    2j on the rest, scanned one symbol at a time."""
+    n = len(cur)
+    for j in range(mod // 2):
+        total = sum(lo + (x + 2 * j - lo) % mod for x in cur)
+        for g, x in enumerate(cur):
+            if total == target:
+                return j * n + g
+            total += lo + (x + 2 * j + 2 - lo) % mod - (lo + (x + 2 * j - lo) % mod)
+    return None
+
+
+def ref_sb_split(word, m, m_v, big_m):
+    """Smallest split i in [0, k] after which m copies of the round's lowest
+    symbol remain, or None: copies of m_v before i and of big_m from i on."""
+    count = sum(1 for x in word if x == big_m)
+    for i, x in enumerate(word):
+        if count == m:
+            return i
+        count += (x == m_v) - (x == big_m)
+    return len(word) if count == m else None
+
+
+def ref_round_stats(word, sub):
+    """Least frequent (smallest on ties) and most frequent (largest on ties)
+    symbols of sub in word."""
+    least = most = None
+    for s in sub:
+        c = sum(1 for x in word if x == s)
+        if least is None or c < least[0]:
+            least = (c, s)
+        if most is None or c >= most[0]:
+            most = (c, s)
+    return least[1], most[1]
+
+
+def search_words(q, k):
+    """A uniform word and a skewed one, whose every symbol is the largest
+    with probability 0.6."""
+    rng = random.Random(f"reference-search:{q}:{k}")
+    syms = symbols(q)
+    skewed = [0.4 / (q - 1)] * (q - 1) + [0.6]
+    return [tuple(rng.choices(syms, k=k)), tuple(rng.choices(syms, skewed, k=k))]
+
+
+def search_lengths(q, step):
+    """1023 rounded to the nearest multiple of step, and 2048."""
+    return (step * round(1023 / step), 2048)
+
+
+def expect_search(search, want, *args):
+    if want is None:
+        with pytest.raises(BalancingInvariantError):
+            search(*args)
+    else:
+        assert search(*args) == want
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_pb_search_matches_the_scan(q):
+    for k in search_lengths(q, 2 - q % 2):
+        for u in search_words(q, k):
+            a = next(s for s in symbols(q) if u.count(s) % 2 == k % 2) if q % 2 else None
+            for word in {u, u if a is None else ref_offset(u, q, -a)}:
+                want = ref_pb_index(word, q)
+                assert want is not None or word == u
+                expect_search(find_pb_index, want, word, q)
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_cb_search_matches_the_scan(q):
+    for k in search_lengths(q, 2 - q % 2):
+        for u in search_words(q, k):
+            want = ref_sequence_index(u, -q + 1, 2 * q, 0)
+            assert want is not None
+            assert find_cb_index(u, q) == want
+
+
+@pytest.mark.parametrize("q", range(4, 10))
+def test_cpb_search_matches_the_scan(q):
+    for k in search_lengths(q, 2 - q % 2):
+        for u in search_words(q, k):
+            a = next(s for s in symbols(q) if u.count(s) % 2 == k % 2) if q % 2 else None
+            shifted = u if a is None else ref_offset(u, q, -a)
+            y = ref_flip(shifted, ref_pb_index(shifted, q))
+            xi, nu = ref_cpb_flags(y, q)
+            if xi:
+                y = ref_mirror(y, q)
+            positions, lo, mod = ref_side(y, q, nu)
+            pos_sum = sum(x for x in y if x > 0)
+            neg_sum = -sum(x for x in y if x < 0)
+            target = neg_sum if nu == "+" else -pos_sum
+            want = ref_sequence_index([y[i] for i in positions], lo, mod, target)
+            assert want is not None
+            assert find_cpb_index(y, q, (positions, lo, mod), target) == want
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_sb_search_matches_the_scan(q):
+    for k in search_lengths(q, q):
+        for word in search_words(q, k):
+            for v in range(1, q):
+                m_v, big_m = ref_round_stats(word, sub_alphabet(q, v))
+                want = ref_sb_split(word, k // q, m_v, big_m)
+                assert want is not None
+                assert find_sb_split(word, q, v, k // q, m_v, big_m) == want
+                word = ref_sb_round(word, q, v, want, m_v, big_m)
