@@ -14,9 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import countOf, gt, lt
-from typing import Dict, Sequence, Tuple
+from operator import countOf
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import AlphabetError, WordParseError
 
@@ -59,10 +58,28 @@ def _symbol_set(q: int) -> frozenset:
     return frozenset(symbols(q))
 
 
+class _SignTable(dict):
+    """{symbol: sign} of one alphabet; any other value is signed by comparison."""
+
+    def __missing__(self, x):
+        return _sign(x)
+
+
 @lru_cache(maxsize=1024)
-def _sign_table(q: int) -> Dict[int, int]:
-    """{symbol: sign} of the order-q alphabet, for one-pass polarity sums."""
-    return {s: _sign(s) for s in symbols(q)}
+def _sign_table(q: int) -> _SignTable:
+    """The order-q sign table, for one-pass polarity sums."""
+    return _SignTable((s, _sign(s)) for s in symbols(q))
+
+
+def _sign_lookup(word: Sequence[int], q: Optional[int]) -> Callable[[int], int]:
+    """The sign of each of word's symbols: a lookup in the cached order-q
+    table, or the comparisons for a word shorter than q or no valid q."""
+    try:
+        if len(word) >= q:
+            return _sign_table(q).__getitem__
+    except (AlphabetError, TypeError):
+        pass
+    return _sign
 
 
 def validate_word(word: Sequence[int], q: int) -> Word:
@@ -151,12 +168,7 @@ def is_cb(word: Sequence[int], q: int) -> bool:
 
 def is_pb(word: Sequence[int], q: int) -> bool:
     """Polarity-balanced: as many positive as negative symbols (zeros free)."""
-    try:  # one pass over the cached sign table, once the word is as long as q
-        if len(word) >= q:
-            return sum(map(_sign_table(q).__getitem__, word)) == 0
-    except (AlphabetError, KeyError, TypeError):  # a foreign symbol, or no valid q
-        pass
-    return sum(map(gt, word, repeat(0))) == sum(map(lt, word, repeat(0)))
+    return sum(map(_sign_lookup(word, q), word)) == 0
 
 
 def is_cpb(word: Sequence[int], q: int) -> bool:

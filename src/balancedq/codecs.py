@@ -17,12 +17,12 @@ bipolar case:
 Every payload stage is one pass of cached symbol maps over the word, with
 at most one cut: the flip at z, the pb offset, the cpb mirror, an sb round
 at its split, a balancing sequence at its g-th position.  Each statistic is
-one pass too: polarity sums read a cached sign table, and cpb reads k1, its
-positive sum and its '+' window off one list of positive positions.  cb and
-cpb share one sequence transform and one sliding index search, which makes
-one pass per block of sequences over a cached table of per-symbol steps;
-they differ in the positions the sequence covers and in the sub-alphabet
-window it rotates.
+one pass too: polarity sums read a cached sign table, and cpb reads k1 and
+its positive sum off one list of positive positions.  cb and cpb share one
+sequence transform and one sliding index search, which makes one pass per
+block of sequences, every symbol stepping by 2 save the one that wraps
+round the window; they differ in the positions the sequence covers and in
+the sub-alphabet window it rotates.
 
 Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
@@ -46,7 +46,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .alphabet import (
     Word,
-    _sign_table,
+    _sign_lookup,
     is_cb,
     is_cpb,
     is_pb,
@@ -126,14 +126,6 @@ def _rotation(q: int, lo: int, mod: int, d: int) -> Dict[int, int]:
     return {s: lo + (s + d - lo) % mod if lo <= s < lo + mod else s for s in symbols(q)}
 
 
-@lru_cache(maxsize=1024)
-def _rotation_step(q: int, lo: int, mod: int, d: int) -> Dict[int, int]:
-    """Symbol map: what rotating the window by d+2 instead of d adds to each
-    symbol (0 off the window)."""
-    after, before = _rotation(q, lo, mod, d + 2), _rotation(q, lo, mod, d)
-    return {s: after[s] - before[s] for s in before}
-
-
 def _map_cut(word: Word, cut: int, first: Dict[int, int], rest: Dict[int, int]) -> Word:
     """word with the map first applied to word[:cut] and rest to the rest."""
     # no slices: CPython keeps freed tuples of up to 20 items on free lists
@@ -182,22 +174,10 @@ def find_pb_offset(u: Sequence[int], q: int) -> int:
     raise BalancingInvariantError("no feasible offset symbol found")
 
 
-def _signs(u: Sequence[int], q: Optional[int]) -> list:
-    """The signs of u's symbols: one pass over the sign table, or the generic
-    comparisons for a word shorter than q, a foreign symbol or no valid q."""
-    try:
-        if len(u) >= q:
-            return list(map(_sign_table(q).__getitem__, u))
-    except (AlphabetError, KeyError, TypeError):
-        pass
-    zeros = repeat(0)
-    return list(map(operator.sub, map(gt, u, zeros), map(lt, u, zeros)))
-
-
 def find_pb_index(u: Sequence[int], q: Optional[int] = None) -> int:
     """Smallest z in [0, k) such that inverting the first z polarities
     balances the word.  At q=2 the symbols are their own polarities."""
-    signs = u if q == 2 else _signs(u, q)
+    signs = u if q == 2 else list(map(_sign_lookup(u, q), u))
     total = sum(signs)
     # inverting the first z polarities subtracts twice their sum; a match
     # at z = k would mean total = 0, which z = 0 already matches
@@ -292,14 +272,16 @@ def _add_sequence(
     return _map_cut(word, positions[g], first, rest)
 
 
-def _find_sequence(cur: Word, q: int, lo: int, mod: int, target: int) -> int:
+def _find_sequence(cur: Word, lo: int, mod: int, target: int) -> int:
     """Smallest z whose balancing sequence, added as in _add_sequence to the
     window symbols cur, brings their sum to target."""
     # sequence z = j*n + g of block j adds 2 more on its first g positions
-    # than sequence j*n, and j*n + n is the next block's g = 0; so the sums of
-    # the sequences in order are one running sum, one pass per block
-    steps = (_rotation_step(q, lo, mod, 2 * j).__getitem__ for j in range(mod // 2))
-    running = accumulate(chain.from_iterable(map(step, cur) for step in steps), initial=sum(cur))
+    # than sequence j*n, save where the symbol lo + mod - 2 - 2j wraps round
+    # the window and moves by 2 - mod; j*n + n is the next block's g = 0, so
+    # the sums of the sequences in order are one running sum, one pass per block
+    twos = repeat(2)
+    wraps = ({s: 2 - mod}.get for s in range(lo + mod - 2, lo - 2, -2))
+    running = accumulate(chain.from_iterable(map(step, cur, twos) for step in wraps), initial=sum(cur))
     with suppress(ValueError):
         return operator.indexOf(running, target)
     raise BalancingInvariantError("no balancing sequence reaches the target sum")
@@ -307,7 +289,7 @@ def _find_sequence(cur: Word, q: int, lo: int, mod: int, target: int) -> int:
 
 def find_cb_index(u: Sequence[int], q: int) -> int:
     """Smallest z in [0, q*k) whose balancing sequence zeroes the charge."""
-    return _find_sequence(tuple(u), q, -q + 1, 2 * q, 0)
+    return _find_sequence(tuple(u), -q + 1, 2 * q, 0)
 
 
 def cb_encode(
@@ -334,14 +316,12 @@ def cb_decode(cw: Codeword, params: CodecParams) -> Word:
 # joint charge and polarity balancing
 
 
-def _side(word: Word, q: int, nu: str, positions: Optional[list] = None) -> Tuple[list, int, int]:
-    """Positions of the nu side's symbols in word, unless given, and the
-    lowest symbol and the modulus of that half-alphabet."""
-    if positions is None:
-        on_side = map(gt if nu == "+" else lt, word, repeat(0))
-        positions = list(compress(range(len(word)), on_side))
+def _side(word: Word, q: int, nu: str) -> Tuple[list, int, int]:
+    """Positions of the nu side's symbols in word, and the lowest symbol and
+    the modulus of that half-alphabet."""
+    on_side = map(gt if nu == "+" else lt, word, repeat(0))
     lo = 1 + q % 2 if nu == "+" else -q + 1
-    return positions, lo, 2 * (q // 2)
+    return list(compress(range(len(word)), on_side)), lo, 2 * (q // 2)
 
 
 @lru_cache(maxsize=1024)
@@ -356,7 +336,7 @@ def find_cpb_index(word: Word, q: int, window: tuple, target: int) -> int:
     symbols to target; window is that side's (positions, lo, mod), as _side
     gives it."""
     positions, lo, mod = window
-    return _find_sequence(tuple(map(word.__getitem__, positions)), q, lo, mod, target)
+    return _find_sequence(tuple(map(word.__getitem__, positions)), lo, mod, target)
 
 
 def cpb_encode(
@@ -372,7 +352,6 @@ def cpb_encode(
     q, k = params.q, params.k
     want_xi, want_nu = xi, nu
     y, a, z = _pb_stage(u, q, k, a, z)
-    # the positive positions give k1, the positive sum and the '+' window
     plus = list(compress(range(k), map(gt, y, repeat(0))))
     k1 = len(plus)
     pos_sum = sum(map(y.__getitem__, plus))
@@ -391,7 +370,7 @@ def cpb_encode(
     if want_nu is not None and want_nu != nu:
         raise InvalidIndexError(f"nu={want_nu!r} does not match the derived side {nu!r}")
     target = neg_sum if nu == "+" else -pos_sum
-    positions, lo, mod = window = _side(y, q, nu, plus if nu == "+" else None)
+    positions, lo, mod = window = _side(y, q, nu)
     w_space = max((q // 2) * k1, 1)
     if w is None:
         w = find_cpb_index(y, q, window, target)

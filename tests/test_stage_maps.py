@@ -22,6 +22,7 @@ from balancedq.codecs import (
     _flip,
     _mirror,
     _offset,
+    _rotation,
     _sb_round,
     _side,
     balancing_sequence,
@@ -384,6 +385,30 @@ def test_cpb_search_matches_the_scan(q):
             want = ref_sequence_index([y[i] for i in positions], lo, mod, target)
             assert want is not None
             assert find_cpb_index(y, q, (positions, lo, mod), target) == want
+
+
+@pytest.mark.parametrize("q", [1001, 1002])
+def test_searches_at_large_q_match_the_scan_and_build_no_maps(q):
+    """With the window far wider than the word, the cb and cpb searches
+    still pick the scan's index and build no cached symbol map."""
+    rng = random.Random(f"large-q-search:{q}")
+    before = _rotation.cache_info()
+    for k in (2, 4, 8, 16):
+        u = tuple(rng.choices(symbols(q), k=k))
+        want = ref_sequence_index(u, -q + 1, 2 * q, 0)
+        assert want is not None
+        assert find_cb_index(u, q) == want
+        for nu in "+-":
+            positions, lo, mod = window = ref_side(u, q, nu)
+            cur = [u[i] for i in positions]
+            if not cur:  # the scan finds no index in an empty window
+                continue
+            reached = ref_add_sequence(u, positions, lo, mod, rng.randrange((mod // 2) * len(cur)))
+            target = sum(reached[i] for i in positions)
+            want = ref_sequence_index(cur, lo, mod, target)
+            assert want is not None
+            assert find_cpb_index(u, q, window, target) == want
+    assert _rotation.cache_info() == before
 
 
 @pytest.mark.parametrize("q", ORDERS)
