@@ -12,7 +12,6 @@ tuples of ints; every function here accepts any integer sequence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import countOf
 from typing import Callable, Optional, Sequence, Tuple
@@ -200,14 +199,58 @@ def format_word(word: Sequence[int]) -> str:
     return ",".join(f"+{x}" if x > 0 else str(x) for x in word)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """A frozen record whose __slots__ name its fields, in order.
+
+    It gives what a frozen dataclass would, without loading dataclasses:
+    the field-order constructor, the repr, equality and hash by type and
+    fields, AttributeError on assignment and deletion, and pickling and
+    copying through __reduce__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Alphabet(_Record):
     """Convenience view of the order-q alphabet."""
 
-    q: int
+    __slots__ = ("q",)
 
-    def __post_init__(self) -> None:
-        _check_q(self.q)
+    def __init__(self, q: int) -> None:
+        _check_q(q)
+        super().__init__(q)
 
     @property
     def symbols(self) -> Word:

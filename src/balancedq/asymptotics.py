@@ -14,10 +14,9 @@ approximation of an empty set is an error, not a tiny float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
-from .alphabet import symbols
+from .alphabet import _Record, symbols
 from .counting import check_kind
 from .errors import InfeasibleParamsError
 
@@ -58,15 +57,10 @@ def _phi_value(s: int, mode: str) -> Fraction:
     return Fraction(sign)
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
+class GaussianSpec(_Record):
     """Mean and variance of a per-word statistic sum(f(x_i))."""
 
-    n: int
-    q: int
-    mode: str
-    mu: float
-    sigma2: float
+    __slots__ = ("n", "q", "mode", "mu", "sigma2")
 
     @property
     def sigma(self) -> float:
@@ -176,17 +170,10 @@ def anr(kind: str, q: int) -> Fraction:
     return Fraction(1, 2) if q <= 3 else Fraction(1)
 
 
-@dataclass(frozen=True)
-class BivariateSpec:
+class BivariateSpec(_Record):
     """Joint Gaussian model of (charge sum, polarity sum) for one word."""
 
-    n: int
-    q: int
-    mu1: float
-    sigma1: float
-    mu2: float
-    sigma2: float
-    rho: float
+    __slots__ = ("n", "q", "mu1", "sigma1", "mu2", "sigma2", "rho")
 
 
 def bivariate_spec(n: int, q: int) -> BivariateSpec:

@@ -247,11 +247,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     figure = globals()[f"{mode}_{args.command}"]
     try:
         value = figure(args.kind, args.n, args.q)
-    except OverflowError:
-        raise InfeasibleParamsError(
+    except OverflowError:  # feasible, but past a double: inf, and a note why
+        _fail(
             f"the approximate {args.kind} count at n={args.n}, q={args.q} overflows "
             "a double; use 'redundancy --approx' for its logarithm"
-        ) from None
+        )
+        value = float("inf")
     row = {"kind": args.kind, "q": args.q, "n": args.n, "mode": mode, "value": value}
     _emit(args, list(row), row, ["value"])
     return EXIT_OK

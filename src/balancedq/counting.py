@@ -10,8 +10,10 @@ resident between calls.
   term by term.
 - cpb counts combine the polarity pattern with the half-alphabet charge
   distribution: one central charge count at even q, and at odd q a series
-  of central coefficients read off a half-alphabet table (_halfsum_series,
-  O(n) entries per half-alphabet size, the one table kept).
+  of central coefficients S_h(j) of A_(2j) = (1 + ... + x^(h-1))^(2j),
+  h = q//2, read off a walk along the centre of A_m that keeps about 2h
+  entries and steps in O(h) (_halfsum_series: the series, O(n) entries per
+  half-alphabet size, and the walk's window, the one table kept).
 - The joint (charge, polarity) census is built in closed form from the
   half-alphabet charge tables A_m, h = q//2: mirroring each negative
   symbol's magnitude digit makes the digits of a word with a fixed sign
@@ -20,8 +22,9 @@ resident between calls.
   capped at CENSUS_MAX_LENGTH.
 
 On a 2-vCPU Intel Xeon VM with Python 3.11, count_cb(1000, 7) takes about
-3 ms, count_cpb(1000, 7) about 0.2 s, joint_census(160, 6) about 0.03 s and
-joint_census(160, 7) about 0.4 s.
+2 ms, count_cpb(1000, 7) about 5 ms and count_cpb(8000, 7) about 0.25 s
+(from a cold series), joint_census(160, 6) about 0.02 s and
+joint_census(160, 7) about 0.3 s.
 
 _halfsum_series is grown under a lock and shared, so the functions here are
 safe to call from several threads; repeated fills are idempotent.
@@ -60,9 +63,10 @@ def check_kind(kind: str, names=KINDS, what: str = "balance kind") -> str:
     return name
 
 
-# half-sum series per half-alphabet size h: (the h-alphabet charge table at
-# length 2*j, [S_h(0), ..., S_h(j)]); see _halfsum_squares.
-_halfsum_series: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
+# half-sum series per half-alphabet size h: (m = 2*j, the left index lo and
+# the window b_lo..b_(m(h-1)/2) of the walk, [S_h(0), ..., S_h(j)]); see
+# _halfsum_squares.
+_halfsum_series: Dict[int, Tuple[int, int, List[int], List[int]]] = {}
 
 
 def _check_nq(n: int, q: int) -> None:
@@ -298,21 +302,68 @@ def count_pb(n: int, q: int) -> int:
     return polarity_count(n, q, 0)
 
 
+def _halfsum_step(m: int, lo: int, window: List[int], d: int) -> Tuple[int, List[int]]:
+    """One step of the walk along the centre of A_m = (1 + x + ... + x^d)^m.
+
+    window holds the coefficients b_lo..b_c of A_m, c = m*d // 2; returns
+    (lo', window') for A_(m+1), with lo' = max(0, c' - 2*d).  The entries
+    from lo + d up to the new centre c' are window sums of d + 1 old ones,
+    past c mirrored by palindromy, b_k = b_(m*d - k).  The few below lo + d
+    are solved, right to left, for the lowest term of J. C. P. Miller's
+    recurrence for the powers of a polynomial (Knuth, TAOCP vol. 2, 4.7),
+    here for A_(m+1):
+
+        k*b_k = sum over i = 1..d of ((m + 2)*i - k)*b_(k-i).
+
+    The sum and the i-weighted sum of the d entries above the term slide
+    one place per entry, so an entry costs O(1) big-int operations and a
+    step O(d); the division is exact.
+    """
+    c, top = m * d // 2, (m + 1) * d // 2
+    # b_(c+1)..b_top are b_(m*d-c-1)..b_(m*d-top); zero at m = 0, as A_0 = 1
+    mirrored = range(m * d - c - 1, m * d - top - 1, -1)
+    ext = window + [window[k - lo] if k >= 0 else 0 for k in mirrored]
+    if lo == 0:  # b_k = 0 below k = 0
+        ext, lo = [0] * d + ext, -d
+    sums = list(itertools.accumulate(ext, initial=0))
+    start = lo + d  # the first entry the window sums give
+    new = list(map(sub, sums[d + 1 :], sums[: -d - 1]))
+    low = max(0, top - 2 * d)
+    if low >= start:
+        return low, new[low - start :]
+    # total and moment: sum over s = 1..d of b_(t+s) and of s*b_(t+s)
+    total, moment = sum(new[:d]), sum(map(mul, range(1, d + 1), new))
+    left = []
+    for t in range(start - 1, low - 1, -1):
+        k = t + d
+        x = (k * total - (m + 2) * (d * total - moment)) // ((m + 1) * d - t)
+        above = new[k - start]
+        moment += x + total - (d + 1) * above
+        total += x - above
+        left.append(x)
+    left.reverse()
+    return low, left + new
+
+
 def _halfsum_squares(h: int, jmax: int) -> List[int]:
     """[S_h(0), ..., S_h(jmax)], S_h(j) = sum over t of N_j(t)**2.
 
     N_j is the sum distribution of j symbols drawn from a size-h
     half-alphabet, so S_h(j) counts the ways to fill the j positive and the
     j mirrored negative positions of a charge-balanced pattern.  N_j is
-    palindromic, so S_h(j) is also the central coefficient of the h-alphabet
-    charge table at length 2*j, which is what the series reads.
+    palindromic, so S_h(j) is also the central coefficient of A_(2j) =
+    (1 + x + ... + x^(h-1))^(2j), which a walk along the centre of A_m
+    reads off (_halfsum_step): two steps per j, O(h) each.
     """
+    d = h - 1
     with _lock:
-        table, series = _halfsum_series.get(h, ((1,), [1]))
+        m, lo, window, series = _halfsum_series.get(h, (0, 0, [1], [1]))
         while len(series) <= jmax:
-            table = _charge_step(_charge_step(table, h), h)
-            series.append(table[len(table) // 2])
-        _halfsum_series[h] = (table, series)
+            for _ in range(2):
+                lo, window = _halfsum_step(m, lo, window, d)
+                m += 1
+            series.append(window[-1])
+        _halfsum_series[h] = (m, lo, window, series)
         return series[: jmax + 1]
 
 

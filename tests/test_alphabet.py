@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from fractions import Fraction
 from hypothesis import given
@@ -5,6 +8,7 @@ import hypothesis.strategies as st
 
 from balancedq.alphabet import (
     Alphabet,
+    _Record,
     charge_sum,
     format_word,
     from_zq,
@@ -21,6 +25,7 @@ from balancedq.alphabet import (
     to_zq,
     validate_word,
 )
+from balancedq.asymptotics import bivariate_spec, gaussian_spec
 from balancedq.errors import AlphabetError, WordParseError
 
 
@@ -207,3 +212,65 @@ def test_alphabet_class():
     assert a.sub(2) == (-2, 0, 2, 4)
     assert 4 in a and 3 not in a
     assert len(a) == 5
+
+
+# The three frozen records of the counting stack: Alphabet here, and the two
+# specs of asymptotics.  Each entry: an instance, its repr, and an instance
+# that differs in one field.
+RECORDS = [
+    (Alphabet(5), "Alphabet(q=5)", Alphabet(7)),
+    (
+        gaussian_spec(10, 5),
+        "GaussianSpec(n=10, q=5, mode='charge', mu=0.0, sigma2=20.0)",
+        gaussian_spec(10, 5, "unit"),
+    ),
+    (
+        bivariate_spec(10, 5),
+        "BivariateSpec(n=10, q=5, mu1=0.0, sigma1=4.47213595499958, mu2=0.0, "
+        "sigma2=2.8284271247461903, rho=0.9486832980505138)",
+        bivariate_spec(12, 5),
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text, other", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_frozen_records(record, text, other):
+    cls = type(record)
+    fields = cls.__slots__
+    values = tuple(getattr(record, name) for name in fields)
+    assert repr(record) == text
+    # field-order and keyword construction, equality and hash by type and fields
+    same = cls(*values)
+    assert same == record and hash(same) == hash(record) and same is not record
+    assert cls(**dict(zip(fields, values))) == record
+    assert record != other and not record == other
+    assert record != values and values != record
+    twin = type("Twin", (_Record,), {"__slots__": fields})(*values)  # same fields, other type
+    assert record != twin and twin != record
+    assert len({record, same, other}) == 2
+    with pytest.raises(TypeError):
+        cls(*values, 1)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+    # frozen
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
+    # pickle and copies round-trip
+    for clone in (
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        copy.deepcopy(record),
+    ):
+        assert clone == record and type(clone) is cls and repr(clone) == text
+
+
+def test_alphabet_record_checks_its_order():
+    for bad in (1, 0, -3, 2.0, "5", None):
+        with pytest.raises(AlphabetError):
+            Alphabet(bad)
+    with pytest.raises(AlphabetError):
+        Alphabet(q=1)

@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from balancedq import exact_count
+from balancedq import approx_count, exact_count
 from balancedq.cli import main
 
 
@@ -190,12 +190,22 @@ def test_count_approx(capsys):
     assert code == 2  # infeasible parity has no approximation
 
 
-def test_count_approx_overflow_is_infeasible(capsys):
+def test_count_approx_overflow_prints_inf(capsys):
+    # feasible parameters whose estimate overflows a double: inf, exit 0,
+    # and a note on stderr; the library's approx_count still raises
     code, out, err = run(capsys, "count", "--kind", "cb", "--q", "4", "--n", "2000", "--approx")
-    assert code == 2
-    assert out == ""
-    assert "overflows a double" in err and "redundancy --approx" in err
-    assert "Traceback" not in err
+    assert code == 0
+    assert out == "inf\n"
+    assert err == (
+        "balancedq: the approximate cb count at n=2000, q=4 overflows a double; "
+        "use 'redundancy --approx' for its logarithm\n"
+    )
+    with pytest.raises(OverflowError):
+        approx_count("cb", 2000, 4)
+    code, out, _ = run(
+        capsys, "count", "--kind", "cb", "--q", "4", "--n", "2000", "--approx", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["value"] == float("inf")
 
 
 #: Python's digit limit on int-to-text conversion (None before 3.10.7)

@@ -273,6 +273,74 @@ def test_cpb_odd_alphabet_matches_joint_census():
             assert count_cpb(n, q) == joint_census(n, q).cell(0, 0), (n, q)
 
 
+class _SteppedSeries:
+    """The odd-q cpb half-sum series as it was built before the walk along
+    the centre: the whole h-alphabet charge table stepped twice per j, with
+    S_h(j) its central coefficient.  Kept here as the reference."""
+
+    def __init__(self):
+        self.state = {}
+
+    def __call__(self, h, jmax):
+        table, series = self.state.get(h, ((1,), [1]))
+        while len(series) <= jmax:
+            table = counting._charge_step(counting._charge_step(table, h), h)
+            series.append(table[len(table) // 2])
+        self.state[h] = (table, series)
+        return series[: jmax + 1]
+
+
+_stepped_series = _SteppedSeries()
+
+
+def _cpb_from_series(n, series):
+    """sum over j of C(n, 2j) C(2j, j) S_h(j), the odd-q cpb count."""
+    return sum(
+        math.comb(n, 2 * j) * math.comb(2 * j, j) * series[j] for j in range(n // 2 + 1)
+    )
+
+
+@pytest.fixture
+def cold_series(monkeypatch):
+    """An empty half-sum cache for the test, the shared one restored after."""
+    monkeypatch.setattr(counting, "_halfsum_series", {})
+
+
+#: (odd q, the lengths checked); n <= 400 for every odd q in 5..21, with
+#: 555 added; 1000 and 2001 where the stepped reference takes under a second
+_WALK_CASES = [
+    (q, list(range(401)) + [555] + ([1000, 2001] if q <= 7 else []))
+    for q in range(5, 22, 2)
+] + [(201, list(range(61))), (2001, list(range(61)))]
+
+
+@pytest.mark.parametrize("q, lengths", _WALK_CASES, ids=[f"q={q}" for q, _ in _WALK_CASES])
+def test_halfsum_walk_matches_stepped_tables(q, lengths, cold_series):
+    h, jmax = q // 2, max(lengths) // 2
+    want = _stepped_series(h, jmax)
+    assert counting._halfsum_squares(h, jmax) == want
+    for n in lengths:
+        assert count_cpb(n, q) == _cpb_from_series(n, want), (n, q)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 21, 201])
+def test_halfsum_walk_resumes_after_an_ascending_sweep(q, cold_series):
+    h, top = q // 2, 160 if q < 201 else 60
+    swept = [count_cpb(n, q) for n in range(top + 1)]
+    grown = counting._halfsum_squares(h, top // 2)
+    counting._halfsum_series.clear()
+    cold = counting._halfsum_squares(h, top // 2)
+    assert grown == cold == _stepped_series(h, top // 2)
+    assert swept == [_cpb_from_series(n, cold) for n in range(top + 1)]
+    # a cold call that reaches past the sweep, and the sweep's series resumed
+    counting._halfsum_series.clear()
+    far = counting._halfsum_squares(h, top)
+    counting._halfsum_series.clear()
+    for n in range(top + 1):
+        count_cpb(n, q)
+    assert counting._halfsum_squares(h, top) == far == _stepped_series(h, top)
+
+
 def _polarity_factorial_sum(n, q, polarity, fact):
     """The trinomial sum with three factorials per term, as a reference."""
     h, has_zero = q // 2, q % 2

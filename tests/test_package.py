@@ -140,16 +140,30 @@ def test_cli_constructions_match_the_specs():
     assert cli.CONSTRUCTIONS == tuple(codebook.SPECS) == codebook.CONSTRUCTIONS
 
 
-
-def test_count_commands_do_not_load_fractions():
-    commands = [argv for argv in COUNTING_COMMANDS if argv[0] in ("count", "redundancy")]
-    code = """
+#: runs CLI commands in one fresh interpreter and prints their exit codes
+#: and which of the named modules they loaded
+LOADED = """
 import io, json, sys
 from contextlib import redirect_stdout
 from balancedq import cli
+commands, names = json.loads(sys.argv[1])
 with redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted({"fractions", "decimal"} & set(sys.modules))]))
+    codes = [cli.main(argv) for argv in commands]
+print(json.dumps([codes, sorted(set(names) & set(sys.modules))]))
 """
-    codes, loaded = json.loads(run_fresh(code, json.dumps(commands)))
-    assert codes == [0] * len(commands) and loaded == []
+
+
+def loaded_by(commands, names):
+    """(exit codes, the names loaded) after commands ran in one process."""
+    return json.loads(run_fresh(LOADED, json.dumps([commands, sorted(names)])))
+
+
+def test_count_commands_do_not_load_fractions():
+    commands = [argv for argv in COUNTING_COMMANDS if argv[0] in ("count", "redundancy")]
+    assert loaded_by(commands, {"fractions", "decimal"}) == [[0] * len(commands), []]
+
+
+def test_counting_commands_do_not_load_dataclasses():
+    # count, redundancy, sweep, table1 and table2 build their records without it
+    codes, loaded = loaded_by(COUNTING_COMMANDS, {"dataclasses", "inspect"})
+    assert codes == [0] * len(COUNTING_COMMANDS) and loaded == []
