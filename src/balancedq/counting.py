@@ -22,7 +22,7 @@ resident between calls.
   capped at CENSUS_MAX_LENGTH.
 
 On a 2-vCPU Intel Xeon VM with Python 3.11, count_cb(1000, 7) takes about
-2 ms, count_cpb(1000, 7) about 5 ms and count_cpb(8000, 7) about 0.25 s
+2 ms, count_cpb(1000, 7) about 6 ms and count_cpb(8000, 7) about 0.25 s
 (from a cold series), joint_census(160, 6) about 0.02 s and
 joint_census(160, 7) about 0.3 s.
 

@@ -326,19 +326,12 @@ def test_halfsum_walk_matches_stepped_tables(q, lengths, cold_series):
 @pytest.mark.parametrize("q", [5, 7, 11, 21, 201])
 def test_halfsum_walk_resumes_after_an_ascending_sweep(q, cold_series):
     h, top = q // 2, 160 if q < 201 else 60
-    swept = [count_cpb(n, q) for n in range(top + 1)]
-    grown = counting._halfsum_squares(h, top // 2)
+    swept = [count_cpb(n, q) for n in range(top + 1)]  # grows the series one j at a time
+    grown = counting._halfsum_squares(h, top)  # and resumes the walk past the sweep
     counting._halfsum_series.clear()
-    cold = counting._halfsum_squares(h, top // 2)
-    assert grown == cold == _stepped_series(h, top // 2)
+    cold = counting._halfsum_squares(h, top)
+    assert grown == cold == _stepped_series(h, top)
     assert swept == [_cpb_from_series(n, cold) for n in range(top + 1)]
-    # a cold call that reaches past the sweep, and the sweep's series resumed
-    counting._halfsum_series.clear()
-    far = counting._halfsum_squares(h, top)
-    counting._halfsum_series.clear()
-    for n in range(top + 1):
-        count_cpb(n, q)
-    assert counting._halfsum_squares(h, top) == far == _stepped_series(h, top)
 
 
 def _polarity_factorial_sum(n, q, polarity, fact):
