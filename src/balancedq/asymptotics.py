@@ -1,14 +1,24 @@
 """Central-limit approximations and asymptotic redundancy.
 
-Counts of balanced words admit sharp Gaussian estimates: the running charge
-and polarity sums of a uniformly random word are asymptotically normal, so
-the number of words hitting an exact target is q**n times a normal density
-at that target.  Everything here is computed in log space first; the plain
-count functions exponentiate on demand and can overflow a double for large
-n, in which case use the *_ln_* variants.
+A uniformly random word is a sum of n i.i.d. symbol steps, so by the lattice
+local limit theorem the number of words that hit an exact target is q**n
+times a normal density there.  Each balance kind fixes d sums of the steps;
+with det the determinant of one step's covariance of those sums, in lattice
+units, the count is about q**n / sqrt((2 pi n)**d det), the redundancy is
+(d log_q(2 pi n) + log_q det) / 2, and its slope in log_q n (anr) is d/2:
 
-Feasibility (parity and divisibility of n) is enforced: asking for an
-approximation of an empty set is an error, not a tiny float.
+    kind                      d      det
+    sb                        q-1    q**-q
+    cb, and cpb at q <= 3     1      (q**2-1)/12
+    pb                        1      1/4 at even q; (q-1)/q at odd q
+    cpb at even q >= 4        2      (q**2-4)/192
+    cpb at odd q >= 5         2      (q**2-1)(q-1)(q-3)/(48 q**2)
+
+The cb step is x/2 and the pb step sign(x), halved at even q; cpb takes both
+(for q <= 3 charge balance implies polarity balance), and sb fixes q-1 symbol
+counts.  Logs come first: approx_count overflows a double for large n, where
+approx_ln_count does not.  An infeasible (kind, n, q) raises: an empty set
+has no approximation.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from .alphabet import _Record, symbols
+from .alphabet import _check_q, _Record
 from .counting import check_kind
 from .errors import InfeasibleParamsError
 
@@ -38,6 +48,38 @@ def _check_feasible(kind: str, n: int, q: int) -> None:
         )
 
 
+def _variance(q: int, mode: str) -> Tuple[int, int]:
+    """One symbol's variance of f(x), as an exact num/den: f is x/2 for
+    "charge", sign(x) for "unit" and sign(x)/2 for "half"; the mean is 0."""
+    if mode == "charge":
+        return q * q - 1, 12
+    return 2 * (q // 2), (q if mode == "unit" else 4 * q)
+
+
+def _polarity_mode(q: int) -> str:  # the sum of signs moves by 2 at even q
+    return "half" if q % 2 == 0 else "unit"
+
+
+def _model(kind: str, q: int) -> Tuple[int, float]:
+    """(d, ln det) of the kind's Gaussian model; see the module docstring."""
+    if kind == "sb":
+        return q - 1, -q * math.log(q)
+    if kind == "cpb" and q >= 4:
+        if q % 2 == 0:
+            return 2, math.log((q * q - 4) / 192)
+        return 2, math.log((q * q - 1) * (q - 1) * (q - 3) / (48 * q * q))
+    num, den = _variance(q, _polarity_mode(q) if kind == "pb" else "charge")
+    return 1, math.log(num / den)
+
+
+def _half_ln_density(kind: str, n: int, q: int) -> float:
+    """-ln of the model's normal density at its centre: (d ln(2 pi n) + ln det)/2."""
+    kind = check_kind(kind)
+    _check_feasible(kind, n, q)
+    d, ln_det = _model(kind, q)
+    return 0.5 * (d * math.log(_TWO_PI * n) + ln_det)
+
+
 def stirling_ln_factorial(n: int) -> float:
     """ln of the Stirling estimate sqrt(2 pi n) (n/e)**n; exact 0 at n=0."""
     if n < 0:
@@ -45,16 +87,6 @@ def stirling_ln_factorial(n: int) -> float:
     if n == 0:
         return 0.0
     return 0.5 * math.log(_TWO_PI * n) + n * (math.log(n) - 1.0)
-
-
-def _phi_value(s: int, mode: str) -> Fraction:
-    from fractions import Fraction  # not at module load: count commands never need it
-    sign = (s > 0) - (s < 0)
-    if mode == "charge":
-        return Fraction(s, 2)
-    if mode == "half":
-        return Fraction(sign, 2)
-    return Fraction(sign)
 
 
 class GaussianSpec(_Record):
@@ -71,17 +103,17 @@ def gaussian_spec(n: int, q: int, mode: str = "charge") -> GaussianSpec:
     """Moments of the charge or polarity sum of a uniform random word.
 
     mode="charge" uses f(x)=x/2 and gives variance n(q^2-1)/12; mode="half"
-    (f = sign/2, natural for even q) gives n/4; mode="unit" (f = sign)
-    gives n(q-1)/q.  The mean is zero for every mode by symmetry.
+    (f = sign/2, natural for even q) gives n(q//2)/(2q), n/4 at even q;
+    mode="unit" (f = sign) gives 2n(q//2)/q, n(q-1)/q at odd q.  The mean
+    is zero for every mode by symmetry.
     """
     if mode not in SPEC_MODES:
         raise InfeasibleParamsError(f"spec mode must be one of {SPEC_MODES}, got {mode!r}")
     if n < 1:
         raise InfeasibleParamsError(f"length must be >= 1, got {n}")
-    vals = [_phi_value(s, mode) for s in symbols(q)]
-    mean = sum(vals) / q
-    var = sum(v * v for v in vals) / q - mean * mean
-    return GaussianSpec(n, q, mode, float(n * mean), float(n * var))
+    _check_q(q)
+    num, den = _variance(q, mode)
+    return GaussianSpec(n, q, mode, 0.0, n * num / den)  # int / int rounds correctly
 
 
 def gaussian_ln_count(spec: GaussianSpec, s: float = 0.0) -> float:
@@ -97,26 +129,7 @@ def gaussian_count(spec: GaussianSpec, s: float = 0.0) -> float:
 
 def approx_ln_count(kind: str, n: int, q: int) -> float:
     """ln of the closed-form approximate count of kind-balanced words."""
-    kind = check_kind(kind)
-    _check_feasible(kind, n, q)
-    lnq = math.log(q)
-    base = n * lnq
-    if kind == "sb":
-        return base - (q - 1) / 2.0 * math.log(_TWO_PI * n) + q / 2.0 * lnq
-    if kind == "cb":
-        return base + 0.5 * math.log(6.0 / (math.pi * n * (q * q - 1)))
-    if kind == "pb":
-        if q % 2 == 0:
-            return base + 0.5 * math.log(2.0 / (math.pi * n))
-        return base + 0.5 * math.log(q / (_TWO_PI * n * (q - 1)))
-    # cpb; for q <= 3 charge balance already implies polarity balance
-    if q <= 3:
-        return approx_ln_count("cb", n, q)
-    if q % 2 == 0:
-        return base - math.log(math.pi * n) + 0.5 * math.log(48.0 / (q * q - 4))
-    return base - math.log(math.pi * n) + 0.5 * math.log(
-        12.0 * q * q / ((q * q - 1) * (q - 1) * (q - 3))
-    )
+    return n * math.log(q) - _half_ln_density(kind, n, q)
 
 
 def approx_count(kind: str, n: int, q: int) -> float:
@@ -125,49 +138,20 @@ def approx_count(kind: str, n: int, q: int) -> float:
 
 
 def approx_redundancy(kind: str, n: int, q: int) -> float:
-    """Closed-form approximation of the redundancy n - log_q(count).
-
-    Affine in log_q(n); the slope is anr(kind, q).
-    """
-    kind = check_kind(kind)
-    _check_feasible(kind, n, q)
-    lnq = math.log(q)
-    lgn = math.log(n) / lnq
-
-    def lg(x: float) -> float:
-        return math.log(x) / lnq
-
-    if kind == "sb":
-        return (q - 1) / 2.0 * lgn + (q - 1) / 2.0 * lg(_TWO_PI) - q / 2.0
-    if kind == "cb":
-        return 0.5 * lgn + 0.5 * lg(math.pi * (q * q - 1) / 6.0)
-    if kind == "pb":
-        if q % 2 == 0:
-            return 0.5 * lgn + 0.5 * lg(math.pi / 2.0)
-        return 0.5 * lgn + 0.5 * lg(_TWO_PI * (q - 1) / q)
-    if q <= 3:
-        return approx_redundancy("cb", n, q)
-    if q % 2 == 0:
-        return lgn + lg(math.pi * math.sqrt((q * q - 4) / 48.0))
-    return lgn + lg(math.pi * math.sqrt((q * q - 1) * (q - 1) * (q - 3) / (12.0 * q * q)))
+    """n - log_q of the approximate count; affine in log_q(n), with slope anr(kind, q)."""
+    return _half_ln_density(kind, n, q) / math.log(q)
 
 
 def anr(kind: str, q: int) -> Fraction:
-    """Asymptotic normalized redundancy: lim r(n) / log_q(n).
+    """Asymptotic normalized redundancy lim r(n) / log_q(n): exactly d/2.
 
-    Exact rational: (q-1)/2 for symbol balance, 1/2 for charge or polarity
-    balance, and 1 for joint balance once q >= 4 (two constraints bind);
-    for q <= 3 joint balance degenerates to charge balance.
-    """
+    That is (q-1)/2 for sb, 1/2 for cb, pb and cpb at q <= 3, and 1 for cpb
+    at q >= 4, where two constraints bind."""
     from fractions import Fraction  # not at module load: count commands never need it
     kind = check_kind(kind)
     if q < 2:
         raise InfeasibleParamsError(f"alphabet order must be >= 2, got {q}")
-    if kind == "sb":
-        return Fraction(q - 1, 2)
-    if kind in ("cb", "pb"):
-        return Fraction(1, 2)
-    return Fraction(1, 2) if q <= 3 else Fraction(1)
+    return Fraction(_model(kind, q)[0], 2)
 
 
 class BivariateSpec(_Record):
@@ -191,13 +175,8 @@ def bivariate_spec(n: int, q: int) -> BivariateSpec:
         )
     if n < 1:
         raise InfeasibleParamsError(f"length must be >= 1, got {n}")
-    sigma1 = math.sqrt(n * (q * q - 1) / 12.0)
-    if q % 2 == 0:
-        sigma2 = math.sqrt(n / 4.0)
-        rho = math.sqrt(3.0 * q * q / (4.0 * (q * q - 1)))
-    else:
-        sigma2 = math.sqrt(n * (q - 1) / q)
-        rho = math.sqrt(3.0 * (q + 1) / (4.0 * q))
+    sigma1, sigma2 = (gaussian_spec(n, q, mode).sigma for mode in ("charge", _polarity_mode(q)))
+    rho = math.sqrt(3.0 * q * q / (4.0 * (q * q - 1)) if q % 2 == 0 else 3.0 * (q + 1) / (4.0 * q))
     return BivariateSpec(n, q, 0.0, sigma1, 0.0, sigma2, rho)
 
 

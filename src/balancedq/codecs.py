@@ -28,9 +28,11 @@ Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
 each record's layout).  Encoders pick the smallest valid index by default;
 any valid index may be injected instead and is verified, so decoders never
-depend on canonical choice.  Decoding is strict: a payload that fails the
-construction's balance predicate, or cpb side info that the encoder could
-not have produced for the payload, raises DecodeError.
+depend on canonical choice.  Decoding is strict: it accepts exactly what
+encode makes for some word and some valid injection.  A payload that fails
+the construction's balance predicate raises DecodeError, and so does side
+info that encode would not derive from the decoded word: the decoders
+re-derive cpb's flags and each sb round's (m, M) by the encoder's functions.
 """
 
 from __future__ import annotations
@@ -331,6 +333,27 @@ def _mirror(q: int) -> Dict[int, int]:
     return {s: top - s if s > 0 else s for s in symbols(q)}
 
 
+def _cpb_flags(y: Word, q: int) -> Tuple[int, str, int]:
+    """The mirror flag xi and the side nu that the joint construction derives
+    from its polarity-balanced word y, and the sum that balances that side."""
+    plus = list(compress(y, map(gt, y, repeat(0))))
+    pos_sum = sum(plus)
+    neg_sum = pos_sum - sum(y)
+    pivot = len(plus) * ((q + 1) // 2)
+    xi = 1 if (pos_sum < pivot < neg_sum or neg_sum < pivot < pos_sum) else 0
+    if xi:  # the mirror keeps the positive positions and maps s to 2*((q+1)//2) - s
+        pos_sum = 2 * pivot - pos_sum
+    # after the mirror both side sums sit on the same side of the pivot; a
+    # word without nonzero symbols gets xi=0 and nu='+'
+    nu = "+" if (pos_sum >= neg_sum >= pivot or pos_sum <= neg_sum <= pivot) else "-"
+    return xi, nu, (neg_sum if nu == "+" else -pos_sum)
+
+
+def _cpb_w_space(q: int, k1: int) -> int:
+    """Number of sequences w for a side of k1 symbols; with k1 = 0 only w=0."""
+    return max((q // 2) * k1, 1)
+
+
 def find_cpb_index(word: Word, q: int, window: tuple, target: int) -> int:
     """Smallest w whose balancing sequence drives the sum of one side's
     symbols to target; window is that side's (positions, lo, mod), as _side
@@ -350,28 +373,18 @@ def cpb_encode(
 ) -> Tuple[Codeword, CpbSide]:
     u = _checked_payload(u, params, "cpb")
     q, k = params.q, params.k
-    want_xi, want_nu = xi, nu
     y, a, z = _pb_stage(u, q, k, a, z)
-    plus = list(compress(range(k), map(gt, y, repeat(0))))
-    k1 = len(plus)
-    pos_sum = sum(map(y.__getitem__, plus))
-    neg_sum = pos_sum - sum(y)
-    pivot = k1 * ((q + 1) // 2)
-    xi = 1 if (pos_sum < pivot < neg_sum or neg_sum < pivot < pos_sum) else 0
-    if xi:  # the mirror keeps the positive positions and maps s to 2*((q+1)//2) - s
-        y = tuple(map(_mirror(q).__getitem__, y))
-        pos_sum = 2 * pivot - pos_sum
-    # after the mirror both side sums sit on the same side of the pivot; a
-    # word without nonzero symbols gets xi=0, nu='+' and w=0
-    nu = "+" if (pos_sum >= neg_sum >= pivot or pos_sum <= neg_sum <= pivot) else "-"
+    flags = _cpb_flags(y, q)
     # xi and nu are derived, not free; injected values must agree
-    if want_xi is not None and want_xi != xi:
-        raise InvalidIndexError(f"xi={want_xi} does not match the derived flag {xi}")
-    if want_nu is not None and want_nu != nu:
-        raise InvalidIndexError(f"nu={want_nu!r} does not match the derived side {nu!r}")
-    target = neg_sum if nu == "+" else -pos_sum
+    if xi is not None and xi != flags[0]:
+        raise InvalidIndexError(f"xi={xi} does not match the derived flag {flags[0]}")
+    if nu is not None and nu != flags[1]:
+        raise InvalidIndexError(f"nu={nu!r} does not match the derived side {flags[1]!r}")
+    xi, nu, target = flags
+    if xi:
+        y = tuple(map(_mirror(q).__getitem__, y))
     positions, lo, mod = window = _side(y, q, nu)
-    w_space = max((q // 2) * k1, 1)
+    w_space = _cpb_w_space(q, len(positions))
     if w is None:
         w = find_cpb_index(y, q, window, target)
     elif not 0 <= w < w_space:
@@ -387,14 +400,12 @@ def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
     side = _checked_prefix(cw, params, "cpb")
     q = params.q
     positions, lo, mod = _side(cw.payload, q, side.nu)
-    # the encoder's side stage covers the k1 positive (as many as negative)
-    # symbols, with w < (q//2)*k1; with k1 = 0 it emits only xi=0, nu='+', w=0
-    k1 = len(positions)
-    if not (side.w < (q // 2) * k1 if k1 else (side.xi, side.nu, side.w) == (0, "+", 0)):
-        raise DecodeError(f"side info {side} was not produced for this payload")
     word = _add_sequence(cw.payload, q, positions, lo, mod, side.w, -1)
     if side.xi:
         word = tuple(map(_mirror(q).__getitem__, word))
+    # encode derives xi and nu from the word before the mirror
+    if side.w >= _cpb_w_space(q, len(positions)) or _cpb_flags(word, q)[:2] != (side.xi, side.nu):
+        raise DecodeError(f"side info {side} was not produced for this payload")
     return _pb_unstage(word, q, side.z, side.a)
 
 
@@ -405,9 +416,14 @@ def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
 def _sb_round_stats(word: Word, q: int, v: int) -> Tuple[int, int]:
     """(least, most) frequent symbols of round v's sub-alphabet; ties take
     the smallest symbol for the minimum and the largest for the maximum."""
-    counts = Counter(word)
     sub = sub_alphabet(q, v)
-    return min(sub, key=lambda s: (counts[s], s)), max(sub, key=lambda s: (counts[s], s))
+    # one C pass per symbol beats hashing every symbol once while the word
+    # or the sub-alphabet is short
+    if len(word) <= 64 or len(sub) <= 3:
+        counts = list(map(word.count, sub))
+    else:
+        counts = list(map(Counter(word).get, sub, repeat(0)))
+    return sub[counts.index(min(counts))], sub[len(sub) - 1 - counts[::-1].index(max(counts))]
 
 
 def _sb_round(
@@ -468,9 +484,13 @@ def sb_encode(
 
 def sb_decode(cw: Codeword, params: CodecParams) -> Word:
     side = _checked_prefix(cw, params, "sb")
-    word = cw.payload
-    for v in range(params.q - 1, 0, -1):
-        word = _sb_round(word, params.q, v, *side.rounds[v - 1], -1)
+    q, word = params.q, cw.payload
+    for v in range(q - 1, 0, -1):
+        i_v, m_v, big_m = side.rounds[v - 1]
+        word = _sb_round(word, q, v, i_v, m_v, big_m, -1)
+        # the encoder derives each round's (m, M) from the word it rotates
+        if _sb_round_stats(word, q, v) != (m_v, big_m):
+            raise DecodeError(f"round {v} of side info {side} was not produced for this payload")
     return word
 
 

@@ -535,8 +535,11 @@ def test_decode_rejects_cpb_side_the_encoder_never_emits():
     cw, _ = with_payload("cpb", 5, 7, payload, CpbSide(0, 0, "+", 2, 0))
     with pytest.raises(DecodeError):
         decode(cw, params)
-    cw, _ = with_payload("cpb", 5, 7, payload, CpbSide(0, 0, "+", 1, 0))
-    assert len(decode(cw, params)) == 7
+    # a codeword that encode makes, with one positive symbol
+    u = (0, 0, 0, 0, 0, 2, 2)
+    cw, side = encode(u, params)
+    assert (cw.payload, side) == ((0, 0, 0, 0, 0, -2, 2), CpbSide(6, 0, "+", 0, 0))
+    assert decode(cw, params) == u
 
 
 @pytest.mark.parametrize("q,k", [(4, 2.0), (4.0, 2), (True, 2), (4, True), (5, "7")])

@@ -24,6 +24,7 @@ from balancedq.codecs import (
     _offset,
     _rotation,
     _sb_round,
+    _sb_round_stats,
     _side,
     balancing_sequence,
     decode,
@@ -421,3 +422,14 @@ def test_sb_search_matches_the_scan(q):
                 assert want is not None
                 assert find_sb_split(word, q, v, k // q, m_v, big_m) == want
                 word = ref_sb_round(word, q, v, want, m_v, big_m)
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_sb_round_stats_match_the_reference(q):
+    # short words and small sub-alphabets count by one pass per symbol, the
+    # rest through one Counter; balanced words tie every count
+    for k in (q, 8 * q, 64, 65, *search_lengths(q, q)):
+        balanced = tuple(random.Random(f"tie:{q}:{k}").sample(symbols(q) * (k // q), k // q * q))
+        for word in (*search_words(q, k), balanced):
+            for v in range(1, q):
+                assert _sb_round_stats(word, q, v) == ref_round_stats(word, sub_alphabet(q, v))
