@@ -4,16 +4,14 @@ Counting and redundancy of symbol-, charge-, polarity-, and jointly
 balanced words, Gaussian approximations, and five fixed-length
 encoder/decoder constructions with balanced side-info prefixes.
 
-The counting modules (errors, alphabet, counting, asymptotics) load with
-the package, so their import is not paid inside a program's first call.
-The codebook and codec modules load on the first lookup of one of their
-names (PEP 562), so a program that only counts never loads them.  Each
-public name is bound in the package namespace on its first lookup.
+Importing the package loads none of its modules.  Each module loads on the
+first lookup of one of its names (PEP 562), so a program loads only what it
+calls: an exact count loads errors and counting, an approximation errors and
+asymptotics.  Each public name is bound in the package namespace on its
+first lookup.
 """
 
-import importlib
-
-from . import alphabet, asymptotics, counting, errors  # noqa: F401
+import sys
 
 __version__ = "0.1.0"
 
@@ -88,7 +86,6 @@ _EXPORTS = {
         "sb_encode",
     ),
     "counting": (
-        "KINDS",
         "JointCensus",
         "brute_force_count",
         "charge_count",
@@ -110,6 +107,7 @@ _EXPORTS = {
         "DecodeError",
         "InfeasibleParamsError",
         "InvalidIndexError",
+        "KINDS",
         "WordParseError",
     ),
 }
@@ -119,13 +117,20 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)
 
 
+def _load(module):
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    name = f"{__name__}.{module}"
+    __import__(name)
+    return sys.modules[name]
+
+
 def __getattr__(name):
     if name in _EXPORTS:  # a submodule; importing it binds it here
-        return importlib.import_module(f"{__name__}.{name}")
+        return _load(name)
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    value = getattr(_load(home), name)
     # later lookups find the name in the module dict and skip this hook
     globals()[name] = value
     return value

@@ -16,16 +16,11 @@ from functools import lru_cache
 from operator import countOf
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import AlphabetError, WordParseError
+from .errors import AlphabetError, WordParseError, _check_q, _Record
 
 Word = Tuple[int, ...]
 
 PHI_MODES = ("half", "unit")
-
-
-def _check_q(q: int) -> None:
-    if not isinstance(q, int) or q < 2:
-        raise AlphabetError(f"alphabet order must be an integer >= 2, got {q!r}")
 
 
 def _sign(x: int) -> int:
@@ -197,50 +192,6 @@ def parse_word(text: str) -> Word:
 def format_word(word: Sequence[int]) -> str:
     """Render a word with explicit '+' on positive symbols: '+4,0,-2'."""
     return ",".join(f"+{x}" if x > 0 else str(x) for x in word)
-
-
-class _Record:
-    """A frozen record whose __slots__ name its fields, in order.
-
-    It gives what a frozen dataclass would, without loading dataclasses:
-    the field-order constructor, the repr, equality and hash by type and
-    fields, AttributeError on assignment and deletion, and pickling and
-    copying through __reduce__.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        names = self.__slots__
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class Alphabet(_Record):

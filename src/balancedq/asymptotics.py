@@ -26,9 +26,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from .alphabet import _check_q, _Record
-from .counting import check_kind
-from .errors import InfeasibleParamsError
+from .errors import InfeasibleParamsError, _check_q, _Record, check_kind
 
 SPEC_MODES = ("charge", "half", "unit")
 

@@ -18,22 +18,23 @@ Every command hands its columns and rows to one emitter, ``_emit``, the
 only code that knows the text, json and csv formats.  It prints ints of any
 size: it lifts Python's digit limit on int-to-text conversion for the time
 it prints, so exact counts past 4300 digits print in every format, while
-input parsing keeps the limit.  The encode/decode half imports codebook and
-codecs, and the emitter imports json and csv, only where they are used, so a
-counting command loads only the counting stack.
+input parsing keeps the limit.
+
+Each command imports the modules it calls when it runs, and the emitter
+imports json and csv only where they are used.  An exact count or
+redundancy loads errors and counting, an approximate one errors and
+asymptotics, table1 and sweep both, and table2 asymptotics; only encode and
+decode load alphabet, codebook and codecs.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .alphabet import format_word, parse_word, symbols
-from .asymptotics import anr, approx_count, approx_redundancy
-from .counting import KINDS, _check_nq, exact_count, exact_redundancy
 from .errors import (
+    KINDS,
     AlphabetError,
     CapacityError,
     DecodeError,
@@ -57,6 +58,24 @@ EXIT_PARSE = 3
 EXIT_DECODE = 4
 
 
+def __getattr__(name):
+    """The figures count, redundancy, table1 and sweep compute, each loaded
+    with its module on first use and then bound in this module."""
+    if name in ("exact_count", "exact_redundancy"):
+        from . import counting as home
+    elif name in ("approx_count", "approx_redundancy"):
+        from . import asymptotics as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(home, name)
+    return value
+
+
+def _figure(name: str):
+    # looked up at call time, so that a rebinding of the module's name holds
+    return globals().get(name) or __getattr__(name)
+
+
 def _fail(message: str) -> None:
     print(f"balancedq: {message}", file=sys.stderr)
 
@@ -72,6 +91,8 @@ def _input_text(args: argparse.Namespace) -> str:
 
 
 def _parse_word_for(text: str, q: int) -> Tuple[int, ...]:
+    from .alphabet import parse_word, symbols
+
     word = parse_word(text)
     alpha = symbols(q)
     bad = [x for x in word if x not in alpha]
@@ -205,6 +226,7 @@ def _round4(x: float) -> float:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    from .alphabet import format_word
     from .codecs import CodecParams, encode
 
     word = _parse_word_for(_input_text(args), args.q)
@@ -226,6 +248,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    from .alphabet import format_word
     from .codecs import CodecParams, decode
 
     codeword = _parse_codeword(_input_text(args), args.q)
@@ -243,8 +266,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise InfeasibleParamsError(f"word length must be >= 0, got {args.n}")
     mode = "approx" if args.approx else "exact"
-    # looked up at call time, so that a rebinding of the module's names holds
-    figure = globals()[f"{mode}_{args.command}"]
+    figure = _figure(f"{mode}_{args.command}")
     try:
         value = figure(args.kind, args.n, args.q)
     except OverflowError:  # feasible, but past a double: inf, and a note why
@@ -260,7 +282,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def _redundancy_table(args: argparse.Namespace, kind: str, q: int, lengths) -> int:
     """Exact and approximate redundancy at each feasible length."""
+    from .counting import _check_nq
+
     _check_nq(0, q)  # a bad order fails the command; a length fails alone
+    exact_redundancy = _figure("exact_redundancy")
+    approx_redundancy = _figure("approx_redundancy")
     rows = []
     for n in lengths:
         try:
@@ -278,6 +304,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
+    from .asymptotics import anr
+
     if args.max_q < 2:
         raise InfeasibleParamsError(f"--max-q must be >= 2, got {args.max_q}")
     rows = [
@@ -310,16 +338,8 @@ def _add_word_source(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--file", help="path to a file holding the word text")
 
 
-class _WordFriendlyParser(argparse.ArgumentParser):
-    """Treats tokens like '-2,+4,0' as values, not option flags."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _WordFriendlyParser(
+    parser = argparse.ArgumentParser(
         prog="balancedq",
         description="Balanced q-ary block codes: counting, redundancy, and encoders.",
     )
@@ -380,7 +400,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the options of encode and decode whose text value may start with '-2'
+_TEXT_OPTIONS = ("--word", "--file", "--inject")
+
+
+def _word_values_joined(argv: Sequence[str]) -> List[str]:
+    """argv with '--word -2,+4,0' written as '--word=-2,+4,0' in encode and
+    decode, so that argparse reads a word that starts with a negative symbol
+    as the value of --word, not as an option; the same for --file and
+    --inject, and for a prefix of one of them (but not for '--')."""
+    out = list(argv[:1])
+    words = out in (["encode"], ["decode"])
+    for token in argv[1:]:
+        option = out[-1]
+        takes_text = len(option) > 2 and any(o.startswith(option) for o in _TEXT_OPTIONS)
+        if words and takes_text and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{option}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = _word_values_joined(sys.argv[1:] if argv is None else argv)
+    if argv[:1] in (["count"], ["redundancy"]):
+        # load the query's module before the parser exists: compiled on the
+        # smaller heap, it does not raise the process's peak memory
+        _figure(("approx_" if "--approx" in argv else "exact_") + argv[0])
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

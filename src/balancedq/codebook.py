@@ -30,8 +30,8 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .alphabet import Word, sub_alphabet, symbols, validate_word
-from .counting import _check_nq, check_kind, exact_count
-from .errors import CapacityError, InfeasibleParamsError, InvalidIndexError
+from .counting import _check_nq, exact_count
+from .errors import CapacityError, InfeasibleParamsError, InvalidIndexError, check_kind
 
 #: Longest word that cb, pb and cpb rank/unrank build completion tables for.
 RETAINED_MAX = 160
@@ -265,7 +265,10 @@ def side_info_space(kind: str, q: int, k: int) -> int:
 
 def pack(side: SideInfo, kind: str, q: int, k: int) -> int:
     """Pack side info into its mixed-radix integer in [0, P)."""
-    prefix_plan = plan(kind, q, k)
+    return _pack(side, plan(kind, q, k))
+
+
+def _pack(side: SideInfo, prefix_plan: PrefixPlan) -> int:
     spec, digits = prefix_plan.spec, prefix_plan.digits
     if not isinstance(side, spec.side):
         raise InvalidIndexError(f"expected {spec.side.__name__}, got {type(side).__name__}")
@@ -287,7 +290,10 @@ def pack(side: SideInfo, kind: str, q: int, k: int) -> int:
 
 def unpack(value: int, kind: str, q: int, k: int) -> SideInfo:
     """Inverse of pack; value must lie in [0, P)."""
-    prefix_plan = plan(kind, q, k)
+    return _unpack(value, plan(kind, q, k))
+
+
+def _unpack(value: int, prefix_plan: PrefixPlan) -> SideInfo:
     if not 0 <= value < prefix_plan.space:
         raise InvalidIndexError(f"packed side info {value} outside 0..{prefix_plan.space - 1}")
     items = []
@@ -332,7 +338,11 @@ def _completions(kind: str, q: int, n: int) -> tuple:
 def rank(word: Sequence[int], kind: str, q: int) -> int:
     """Lexicographic index of word among all kind-balanced words of its length."""
     kind = balance_kind(kind)
-    w = validate_word(word, q)
+    return _rank(validate_word(word, q), kind, q)
+
+
+def _rank(w: Word, kind: str, q: int) -> int:
+    """rank of a validated word under a balance kind (not a construction)."""
     n = len(w)
     index = state = 0
     if kind == "sb":
@@ -365,6 +375,11 @@ def unrank(index: int, n: int, kind: str, q: int) -> Word:
     """Inverse of rank: the index-th kind-balanced word of length n."""
     kind = balance_kind(kind)
     _check_nq(n, q)
+    return _unrank(index, n, kind, q)
+
+
+def _unrank(index: int, n: int, kind: str, q: int) -> Word:
+    """unrank under a balance kind (not a construction), for a checked n and q."""
     if kind == "sb":
         total = exact_count("sb", n, q)
     else:
@@ -403,8 +418,8 @@ def unrank(index: int, n: int, kind: str, q: int) -> Word:
 
 def encode_prefix(side: SideInfo, prefix_plan: PrefixPlan) -> Word:
     """Spell side info as a balanced word of the planned prefix length."""
-    value = pack(side, prefix_plan.kind, prefix_plan.q, prefix_plan.k)
-    return unrank(value, prefix_plan.length, prefix_plan.balance, prefix_plan.q)
+    value = _pack(side, prefix_plan)
+    return _unrank(value, prefix_plan.length, prefix_plan.balance, prefix_plan.q)
 
 
 def decode_prefix(word: Sequence[int], prefix_plan: PrefixPlan) -> SideInfo:
@@ -414,5 +429,5 @@ def decode_prefix(word: Sequence[int], prefix_plan: PrefixPlan) -> SideInfo:
         raise InvalidIndexError(
             f"prefix length {len(w)} does not match plan length {prefix_plan.length}"
         )
-    value = rank(w, prefix_plan.balance, prefix_plan.q)
-    return unpack(value, prefix_plan.kind, prefix_plan.q, prefix_plan.k)
+    value = _rank(validate_word(w, prefix_plan.q), prefix_plan.balance, prefix_plan.q)
+    return _unpack(value, prefix_plan)

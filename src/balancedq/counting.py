@@ -39,10 +39,7 @@ from functools import lru_cache
 from operator import add, mul, sub
 from typing import Dict, Iterator, List, Tuple
 
-from .alphabet import is_cb, is_pb, is_sb, symbols
-from .errors import CapacityError, InfeasibleParamsError
-
-KINDS = ("sb", "cb", "pb", "cpb")
+from .errors import KINDS, CapacityError, InfeasibleParamsError, check_kind
 
 #: Hard bound on joint census length.
 CENSUS_MAX_LENGTH = 512
@@ -51,16 +48,6 @@ CENSUS_MAX_LENGTH = 512
 BRUTE_FORCE_BUDGET = 10_000_000
 
 _lock = threading.Lock()
-
-
-def check_kind(kind: str, names=KINDS, what: str = "balance kind") -> str:
-    """kind in lower case, when it names one of names (the balance kinds by
-    default, or the constructions); raises InfeasibleParamsError otherwise,
-    also for a kind that is not a string."""
-    name = kind.lower() if isinstance(kind, str) else None
-    if name not in names:
-        raise InfeasibleParamsError(f"unknown {what} {kind!r}")
-    return name
 
 
 # half-sum series per half-alphabet size h: (m = 2*j, the left index lo and
@@ -417,6 +404,8 @@ def exact_redundancy(kind: str, n: int, q: int) -> float:
 
 @lru_cache(maxsize=256)
 def _brute_tally(n: int, q: int) -> Tuple[int, int, int, int]:
+    from .alphabet import is_cb, is_pb, is_sb, symbols
+
     sb = cb = pb = cpb = 0
     for w in itertools.product(symbols(q), repeat=n):
         c = is_cb(w, q)

@@ -81,6 +81,21 @@ def test_decode_leading_minus_word(capsys):
     assert out.strip() == "-1,-1"
 
 
+def test_text_values_may_start_with_a_negative_symbol(capsys):
+    code, out, _ = run(capsys, "encode", "--kind", "knuth", "--q", "2", "--word=-1,-1")
+    assert code == 0
+    assert run(capsys, "encode", "--kind", "knuth", "--q", "2", "--wo", "-1,-1") == (0, out, "")
+    code, _, err = run(capsys, "decode", "--kind", "cb", "--q", "3", "--file", "-2.txt")
+    assert code == 3 and "cannot read -2.txt" in err
+    code, _, err = run(capsys, "encode", "--kind", "cb", "--q", "3", "--word=0,0", "--inject", "-2")
+    assert code == 3 and "bad injection field '-2'" in err
+    # only encode and decode take a word; '--' ends the options
+    code, _, err = run(capsys, "count", "--kind", "cb", "--q", "3", "--n", "2", "--word", "-1,1")
+    assert code == 2 and "unrecognized arguments: --word -1,1" in err
+    code, _, err = run(capsys, "encode", "--kind", "knuth", "--q", "2", "--", "-1,-1")
+    assert code == 2 and "--word=" not in err
+
+
 def test_encode_json_format(capsys):
     code, out, _ = run(
         capsys,

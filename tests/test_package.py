@@ -1,11 +1,13 @@
 """The package namespace loads its names on first use.
 
-A counting command must not load the codebook and codec modules, and every
-public name must still resolve, star-import and show in dir().
+Importing the package loads none of its modules, each CLI command loads
+only the modules it calls, and every public name must still resolve,
+star-import and show in dir().
 """
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,20 +56,22 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
-COUNTING_COMMANDS = [
-    ["count", "--kind", "cpb", "--q", "5", "--n", "40"],
-    ["count", "--kind", "sb", "--q", "3", "--n", "30", "--approx", "--format", "json"],
-    ["redundancy", "--kind", "cb", "--q", "4", "--n", "50", "--format", "csv"],
-    ["redundancy", "--kind", "pb", "--q", "7", "--n", "20", "--approx"],
-    ["table1", "--format", "json"],
-    ["table2", "--format", "csv"],
-    ["sweep", "--kind", "cpb", "--q", "4", "--start", "1", "--stop", "12"],
+EXACT = {"errors", "counting"}
+APPROX = {"errors", "asymptotics"}
+
+#: each counting command and the modules it loads besides the package and cli
+COMMAND_MODULES = [
+    (["count", "--kind", "cpb", "--q", "5", "--n", "40"], EXACT),
+    (["count", "--kind", "sb", "--q", "3", "--n", "30", "--approx", "--format", "json"], APPROX),
+    (["redundancy", "--kind", "cb", "--q", "4", "--n", "50", "--format", "csv"], EXACT),
+    (["redundancy", "--kind", "pb", "--q", "7", "--n", "20", "--approx"], APPROX),
+    (["table1", "--format", "json"], EXACT | APPROX),
+    (["table2", "--format", "csv"], APPROX),
+    (["sweep", "--kind", "cpb", "--q", "4", "--start", "1", "--stop", "12"], EXACT | APPROX),
 ]
+COUNTING_COMMANDS = [argv for argv, _ in COMMAND_MODULES]
 
 CODEC_MODULES = {"balancedq.codebook", "balancedq.codecs"}
-COUNTING_STACK = {
-    f"balancedq{name}" for name in ("", ".alphabet", ".asymptotics", ".cli", ".counting", ".errors")
-}
 
 
 def run_fresh(code, *args):
@@ -88,13 +92,13 @@ def probe(commands):
 
 
 def test_counting_commands_do_not_load_the_codecs():
-    encode = ["encode", "--kind", "cb", "--q", "4", "--word", "+3,-3,+1,-1"]
-    loaded = probe(COUNTING_COMMANDS + [encode])
-    for argv in COUNTING_COMMANDS:
-        code, modules = loaded[" ".join(argv)]
+    # one fresh interpreter per command, so that each shows its own modules
+    for argv, names in COMMAND_MODULES:
+        code, modules = probe([argv])[" ".join(argv)]
         assert code == 0, argv
-        assert set(modules) == COUNTING_STACK, argv
-    code, modules = loaded[" ".join(encode)]
+        assert set(modules) == {"balancedq", "balancedq.cli"} | {f"balancedq.{n}" for n in names}, argv
+    encode = ["encode", "--kind", "cb", "--q", "4", "--word", "+3,-3,+1,-1"]
+    code, modules = probe([encode])[" ".join(encode)]
     assert code == 0 and CODEC_MODULES <= set(modules)
 
 
@@ -102,6 +106,39 @@ def test_decode_loads_the_codecs():
     decode = ["decode", "--kind", "cb", "--q", "4", "--word", "-3,+1,+3,-1|-3,+3,+3,-3"]
     code, modules = probe([decode])[" ".join(decode)]
     assert code == 0 and CODEC_MODULES <= set(modules)
+
+
+def test_import_loads_no_module_and_a_lookup_loads_its_home():
+    code = (
+        "import sys, balancedq\n"
+        "print(sorted(m for m in sys.modules if m.startswith('balancedq.')))\n"
+        "print(balancedq.exact_count('cpb', 40, 5))\n"
+        "print(repr(balancedq.approx_redundancy('cb', 40, 3)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('balancedq.')))\n"
+    )
+    before, count, redundancy, after = run_fresh(code).splitlines()
+    assert before == "[]"
+    assert int(count) == 89626820369817280577686633
+    assert math.isclose(float(redundancy), 2.3308001672836998, rel_tol=1e-12)
+    assert after == "['balancedq.asymptotics', 'balancedq.counting', 'balancedq.errors']"
+
+
+def test_cli_figures_resolve_and_count_calls_their_rebinding(monkeypatch, capsys):
+    from balancedq import asymptotics, counting
+
+    for name in ("exact_count", "exact_redundancy"):
+        assert getattr(cli, name) is getattr(counting, name)
+    for name in ("approx_count", "approx_redundancy"):
+        assert getattr(cli, name) is getattr(asymptotics, name)
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        cli.bogus
+    calls = []
+    for name in ("exact_count", "approx_count", "exact_redundancy", "approx_redundancy"):
+        monkeypatch.setattr(cli, name, lambda kind, n, q, name=name: calls.append(name) or 7)
+    for argv in (["count"], ["count", "--approx"], ["redundancy"], ["redundancy", "--approx"]):
+        assert cli.main(argv + ["--kind", "cb", "--q", "3", "--n", "5"]) == 0
+        assert capsys.readouterr().out == "7\n"
+    assert calls == ["exact_count", "approx_count", "exact_redundancy", "approx_redundancy"]
 
 
 def test_submodules_resolve_as_attributes():
