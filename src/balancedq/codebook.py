@@ -16,24 +16,28 @@ via lexicographic enumerative coding, so the prefix obeys the same balance
 predicate as the payload.
 
 Rank/unrank order words lexicographically under the natural symbol order
--q+1 < -q+3 < ... < q-1.  They walk the word over completion counts built
-once per (kind, q, n) by a backward pass over the walk's own step (cb, pb,
-cpb), or over ratios of multinomials (sb); they do not read the counting
-module's tables, and the walk itself refuses an unbalanced word.
+-q+1 < -q+3 < ... < q-1 (enumerative coding: Cover, 1973; Knuth, 1986).
+For cb, pb and cpb a cached row holds, per prefix sums and symbols left,
+the running sums over the next symbol of the counting module's counts of
+its balanced completions; rank adds one entry per position, unrank bisects
+the row, and a symbol with no completions refuses an unbalanced word.  sb
+walks ratios of multinomials.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .alphabet import Word, sub_alphabet, symbols, validate_word
-from .counting import _check_nq, exact_count
+from .counting import _check_nq, charge_count, exact_count, joint_count, polarity_count
 from .errors import CapacityError, InfeasibleParamsError, InvalidIndexError, check_kind
 
-#: Longest word that cb, pb and cpb rank/unrank build completion tables for.
+#: Longest word cb, pb and cpb rank/unrank take; it bounds the counts behind a row.
 RETAINED_MAX = 160
 
 
@@ -289,8 +293,11 @@ def _pack(side: SideInfo, prefix_plan: PrefixPlan) -> int:
 
 
 def unpack(value: int, kind: str, q: int, k: int) -> SideInfo:
-    """Inverse of pack; value must lie in [0, P)."""
-    return _unpack(value, plan(kind, q, k))
+    """Inverse of pack; value must be an int in [0, P)."""
+    prefix_plan = plan(kind, q, k)
+    if type(value) is not int:  # bools and floats are refused too
+        raise InvalidIndexError(f"packed side info must be an int, got {value!r}")
+    return _unpack(value, prefix_plan)
 
 
 def _unpack(value: int, prefix_plan: PrefixPlan) -> SideInfo:
@@ -303,36 +310,26 @@ def _unpack(value: int, prefix_plan: PrefixPlan) -> SideInfo:
     return prefix_plan.spec.build(items[::-1])
 
 
-# How rank/unrank walk the words of each balance kind but sb: a state is one
-# int, the sum of its symbols' moves, and a balanced word ends at state 0.  A
-# cpb move packs (charge, polarity) as charge * (2n + 1) + polarity.
-_MOVES = {
-    "cb": lambda q, n: symbols(q),
-    "pb": lambda q, n: [(s > 0) - (s < 0) for s in symbols(q)],
-    "cpb": lambda q, n: [s * (2 * n + 1) + (s > 0) - (s < 0) for s in symbols(q)],
-}
+#: the sums each kind's completions read; the other stays 0 and rows are shared
+_TRACKED = {"cb": (1, 0), "pb": (0, 1), "cpb": (1, 1)}
 
 
-@lru_cache(maxsize=128)
-def _completions(kind: str, q: int, n: int) -> tuple:
-    """(moves, walk) of kind's walk over length-n words: moves maps each
-    symbol to its move, and walk[i] maps each state the walk can be in after
-    i symbols to its number of balanced completions; states without any are
-    left out, so walk[0].get(0, 0) is the number of balanced words."""
-    if n > RETAINED_MAX:
+def _completions(kind: str, q: int, r: int, c: int, p: int) -> int:
+    """Balanced completions by r symbols of a prefix with symbol sum c and
+    polarity sum p, counted by the counting module."""
+    if kind == "cb":
+        return charge_count(r, q, -c)
+    return polarity_count(r, q, -p) if kind == "pb" else joint_count(r, q, -c, -p)
+
+
+@lru_cache(maxsize=4096)
+def _row(kind: str, q: int, r: int, c: int, p: int) -> tuple:
+    """row[t]: the completions of (c, p) by r + 1 symbols whose first is
+    below symbols(q)[t]; row[-1] counts them all."""
+    if r >= RETAINED_MAX:
         raise CapacityError(f"enumerative coding of balanced words supports n <= {RETAINED_MAX}")
-    moves = dict(zip(symbols(q), _MOVES[kind](q, n)))
-    layers = [{0: 1}]  # layers[r]: completions of r symbols
-    for r in range(1, n + 1):
-        layer = {}
-        get = layer.get
-        for x, c in layers[-1].items():
-            for m in moves.values():
-                layer[x - m] = get(x - m, 0) + c
-        if 2 * r > n:  # keep the states that n - r symbols can reach
-            layer = {x: layer[x] for x in layers[n - r].keys() & layer.keys()}
-        layers.append(layer)
-    return moves, layers[::-1]
+    cells = (_completions(kind, q, r, c + s, p + (s > 0) - (s < 0)) for s in symbols(q))
+    return tuple(accumulate(cells, initial=0))
 
 
 def rank(word: Sequence[int], kind: str, q: int) -> int:
@@ -344,7 +341,7 @@ def rank(word: Sequence[int], kind: str, q: int) -> int:
 def _rank(w: Word, kind: str, q: int) -> int:
     """rank of a validated word under a balance kind (not a construction)."""
     n = len(w)
-    index = state = 0
+    index = 0
     if kind == "sb":
         # r!/prod(b!) words complete budgets b with r symbols left, and
         # total * b[t] // r of them go on with symbol t
@@ -358,16 +355,15 @@ def _rank(w: Word, kind: str, q: int) -> int:
             total = total * budget[t] // r
             budget[t] -= 1
         return index
-    moves, walk = _completions(kind, q, n)
-    for x, completions in zip(w, walk[1:]):
-        get = completions.get
-        for s, m in moves.items():
-            if s >= x:
-                break
-            index += get(state + m, 0)
-        state += moves[x]
-        if state not in completions:
+    dc, dp = _TRACKED[kind]
+    c = p = 0
+    for r, x in zip(range(n - 1, -1, -1), w):
+        row = _row(kind, q, r, c, p)
+        t = (x + q - 1) // 2
+        if row[t + 1] == row[t]:
             raise InvalidIndexError(f"word is not {kind}-balanced, cannot rank")
+        index += row[t]
+        c, p = c + dc * x, p + dp * ((x > 0) - (x < 0))
     return index
 
 
@@ -375,6 +371,8 @@ def unrank(index: int, n: int, kind: str, q: int) -> Word:
     """Inverse of rank: the index-th kind-balanced word of length n."""
     kind = balance_kind(kind)
     _check_nq(n, q)
+    if type(index) is not int:  # bools and floats are refused too
+        raise InvalidIndexError(f"index must be an int, got {index!r}")
     return _unrank(index, n, kind, q)
 
 
@@ -383,15 +381,14 @@ def _unrank(index: int, n: int, kind: str, q: int) -> Word:
     if kind == "sb":
         total = exact_count("sb", n, q)
     else:
-        moves, walk = _completions(kind, q, n)
-        total = walk[0].get(0, 0)
+        total = _row(kind, q, n - 1, 0, 0)[-1] if n else 1
     if not 0 <= index < total:
         raise InvalidIndexError(
             f"index {index} outside 0..{total - 1} for {kind}-balanced words of length {n}"
         )
+    syms = symbols(q)
     out = []
     if kind == "sb":
-        syms = symbols(q)
         budget = [n // q] * q
         for r in range(n, 0, -1):
             for t, b in enumerate(budget):
@@ -403,16 +400,15 @@ def _unrank(index: int, n: int, kind: str, q: int) -> Word:
                     break
                 index -= c
         return tuple(out)
-    state = 0
-    for completions in walk[1:]:
-        get = completions.get
-        for s, m in moves.items():
-            c = get(state + m, 0)
-            if index < c:
-                out.append(s)
-                state += m
-                break
-            index -= c
+    dc, dp = _TRACKED[kind]
+    c = p = 0
+    for r in range(n - 1, -1, -1):
+        row = _row(kind, q, r, c, p)
+        t = bisect_right(row, index) - 1
+        index -= row[t]
+        x = syms[t]
+        out.append(x)
+        c, p = c + dc * x, p + dp * ((x > 0) - (x < 0))
     return tuple(out)
 
 

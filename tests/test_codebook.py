@@ -177,6 +177,19 @@ def test_rank_unrank_exhaustive(kind, q):
             prev = w
 
 
+@pytest.mark.parametrize("value", [1.0, True, "1", 2.5, None])
+def test_unpack_refuses_a_value_that_is_not_an_int(value):
+    with pytest.raises(InvalidIndexError, match="must be an int"):
+        unpack(value, "cb", 3, 2)
+
+
+@pytest.mark.parametrize("index", [2.5, 3.0, True, False, "1", None])
+@pytest.mark.parametrize("kind", ["sb", "cb", "pb", "cpb"])
+def test_unrank_refuses_an_index_that_is_not_an_int(index, kind):
+    with pytest.raises(InvalidIndexError, match="must be an int"):
+        unrank(index, 4, kind, 2)
+
+
 def test_unrank_out_of_range():
     total = exact_count("cb", 4, 3)
     with pytest.raises(InvalidIndexError):
@@ -199,6 +212,11 @@ def test_rank_capacity_cap():
         rank(word, "cb", 2)
     with pytest.raises(CapacityError):
         rank(word, "pb", 2)
+    for kind in ("cb", "pb", "cpb"):
+        with pytest.raises(CapacityError):
+            unrank(0, RETAINED_MAX + 1, kind, 3)
+    word = unrank(12345, RETAINED_MAX, "cb", 3)
+    assert rank(word, "cb", 3) == 12345
 
 
 def test_rank_accepts_construction_names():

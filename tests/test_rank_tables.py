@@ -1,19 +1,23 @@
-"""Prefix rank/unrank over completion tables, against the counting walk.
+"""Prefix rank/unrank over cached rows of counts, against a plain walk.
 
-rank and unrank walk each word over completion counts that codebook builds
-once per (kind, q, n), and over budget ratios for sb.  The reference below
-is the walk they replaced: it asks the counting module, or a multinomial,
-for the completions of every candidate symbol.  Both must give the same
-index to every word, and rank must refuse an unbalanced word.
+For cb, pb and cpb, rank and unrank read each position off a cached row of
+running sums of the counting module's completion counts, one per next
+symbol; for sb they walk budget ratios.  The reference below asks the
+counting module, or a multinomial, for the completions of every candidate
+symbol afresh, and checks balance with the alphabet's predicates.  Both
+must give the same index to every word, and rank must refuse an
+unbalanced word.
 """
 
 import math
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from balancedq import codebook
 from balancedq.alphabet import is_cb, is_cpb, is_pb, is_sb, symbols
 from balancedq.codebook import balance_kind, plan, rank, unrank
 from balancedq.counting import charge_count, exact_count, joint_count, polarity_count
@@ -115,7 +119,7 @@ def ref_words(kind, n, q):
 
 
 # ---------------------------------------------------------------------------
-# the tables against the reference
+# the rows against the reference
 
 
 def small_lengths(kind, q):
@@ -154,6 +158,33 @@ def test_random_indices_of_deck_prefixes(kind, q, p):
         word = ref_unrank(index, p, kind, q)
         assert unrank(index, p, kind, q) == word
         assert rank(word, kind, q) == ref_rank(word, kind, q) == index
+
+
+@pytest.mark.parametrize("kind", ["cb", "pb", "cpb"])
+@pytest.mark.parametrize("q", [1001, 2001])
+def test_random_indices_at_large_q(kind, q):
+    rng = random.Random(f"{kind}:{q}")
+    for n in range(1, 5):
+        total = exact_count(kind, n, q)
+        for index in [0, total - 1] + [rng.randrange(total) for _ in range(20)]:
+            word = ref_unrank(index, n, kind, q)
+            assert unrank(index, n, kind, q) == word
+            assert rank(word, kind, q) == ref_rank(word, kind, q) == index
+
+
+def test_rows_of_a_long_cpb_prefix_take_little_memory():
+    # rows hold q + 1 counts per prefix state; a table of every reachable
+    # state at every length peaks at 6.7 MB here
+    codebook._row.cache_clear()
+    tracemalloc.start()
+    try:
+        word = unrank(12345, 60, "cpb", 7)
+        assert rank(word, "cpb", 7) == 12345
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert word == ref_unrank(12345, 60, "cpb", 7)
 
 
 @pytest.mark.parametrize("kind", ["cb", "pb", "cpb"])
