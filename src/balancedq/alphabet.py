@@ -101,10 +101,12 @@ def to_zq(word: Sequence[int], q: int) -> Word:
 
 
 def from_zq(word: Sequence[int], q: int) -> Word:
-    """Inverse of to_zq: residue i maps back to the symbol q-1-2i."""
+    """Inverse of to_zq: residue i, an int, maps back to the symbol q-1-2i."""
     _check_q(q)
     w = tuple(word)
     for i in w:
+        if type(i) is not int:
+            raise AlphabetError(f"residue {i!r} is not an integer")
         if not 0 <= i < q:
             raise AlphabetError(f"residue {i} is outside Z_{q}")
     return tuple(q - 1 - 2 * i for i in w)

@@ -28,18 +28,19 @@ Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
 each record's layout).  Encoders pick the smallest valid index by default;
 any valid index may be injected instead and is verified, so decoders never
-depend on canonical choice.  Decoding is strict: it accepts exactly what
-encode makes for some word and some valid injection.  A payload that fails
-the construction's balance predicate raises DecodeError, and so does side
-info that encode would not derive from the decoded word: the decoders
-re-derive cpb's flags and each sb round's (m, M) by the encoder's functions.
+depend on canonical choice.  A call without an inject goes straight to the
+construction's encoder and does no per-call set-up.  Decoding is strict: it
+accepts exactly what encode makes for some word and some valid injection.  A
+payload that fails the construction's balance predicate raises DecodeError,
+and so does side info that encode would not derive from the decoded word:
+the decoders re-derive cpb's flags and each sb round's (m, M) by the
+encoder's functions.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
@@ -184,8 +185,10 @@ def find_pb_index(u: Sequence[int], q: Optional[int] = None) -> int:
     # inverting the first z polarities subtracts twice their sum; a match
     # at z = k would mean total = 0, which z = 0 already matches
     if total % 2 == 0:
-        with suppress(ValueError):
+        try:
             return operator.indexOf(accumulate(signs, initial=0), total // 2)
+        except ValueError:
+            pass
     raise BalancingInvariantError("no polarity balancing point found")
 
 
@@ -270,7 +273,8 @@ def _add_sequence(
         return word
     # sequence z adds 2j+2 on its first g positions and 2j on the rest
     j, g = divmod(z, len(positions))
-    first, rest = (_rotation(q, lo, mod, sign * d) for d in (2 * j + 2, 2 * j))
+    first = _rotation(q, lo, mod, sign * (2 * j + 2))
+    rest = _rotation(q, lo, mod, sign * 2 * j)
     return _map_cut(word, positions[g], first, rest)
 
 
@@ -284,8 +288,10 @@ def _find_sequence(cur: Word, lo: int, mod: int, target: int) -> int:
     twos = repeat(2)
     wraps = ({s: 2 - mod}.get for s in range(lo + mod - 2, lo - 2, -2))
     running = accumulate(chain.from_iterable(map(step, cur, twos) for step in wraps), initial=sum(cur))
-    with suppress(ValueError):
+    try:
         return operator.indexOf(running, target)
+    except ValueError:
+        pass
     raise BalancingInvariantError("no balancing sequence reaches the target sum")
 
 
@@ -436,7 +442,8 @@ def _sb_round(
     """
     sub = sub_alphabet(q, v)
     lo, mod = sub[0], 2 * len(sub)
-    first, rest = (_rotation(q, lo, mod, sign * (lo - s)) for s in (m_v, big_m))
+    first = _rotation(q, lo, mod, sign * (lo - m_v))
+    rest = _rotation(q, lo, mod, sign * (lo - big_m))
     return _map_cut(word, i_v, first, rest)
 
 
@@ -445,11 +452,13 @@ def find_sb_split(word: Word, q: int, v: int, m: int, m_v: int, big_m: int) -> i
     round's lowest symbol after the rotation; m_v and big_m are the round's
     least and most frequent symbols, as _sb_round_stats gives them."""
     # split i moves the copies of m_v before i and of big_m from i on to
-    # the lowest symbol
-    weight = {s: (s == m_v) - (s == big_m) for s in symbols(q)}
-    counts = accumulate(map(weight.__getitem__, word), initial=word.count(big_m))
-    with suppress(ValueError):
+    # the lowest symbol; when the two are one symbol, no split moves a count
+    weight = {m_v: 1, big_m: -1} if m_v != big_m else {}
+    counts = accumulate(map(weight.get, word, repeat(0)), initial=word.count(big_m))
+    try:
         return operator.indexOf(counts, m)
+    except ValueError:
+        pass
     raise BalancingInvariantError(f"no feasible split in round {v}")
 
 
@@ -545,8 +554,10 @@ def encode(
     (sb: sequence of q-1 splits).  Injected values are validated and
     rejected with InvalidIndexError when not balancing.
     """
+    if not inject:
+        return _CODECS[params.kind][0](u, params)
     spec = params.plan.spec
-    inject = dict(inject or {})
+    inject = dict(inject)
     kwargs = {
         f.arg or f.name: _injected(f, spec.rounds is not None, inject.pop(f.name, None))
         for f in spec.fields

@@ -70,6 +70,10 @@ def test_zq_rejects_outsiders():
         from_zq([5], 5)
     with pytest.raises(AlphabetError):
         from_zq([-1], 5)
+    # residues are ints, as symbols are
+    for bad in ((1.5,), (True, 0), ("1",)):
+        with pytest.raises(AlphabetError, match="not an integer"):
+            from_zq(bad, 3)
 
 
 def test_sub_alphabet():

@@ -20,9 +20,11 @@ from balancedq.codecs import (
     decode,
     encode,
     find_cb_index,
+    find_cpb_index,
     find_knuth_index,
     find_pb_index,
     find_pb_offset,
+    find_sb_split,
     knuth_encode,
     pb_encode,
     sb_encode,
@@ -317,6 +319,33 @@ def test_injected_ints_still_replay():
         assert encode(word, params, {"i": seq}) == encode(word, params)
 
 
+ONE_PER_KIND = [("knuth", 2, 8), ("pb", 5, 7), ("cb", 4, 8), ("cpb", 5, 6), ("sb", 3, 6)]
+
+
+@pytest.mark.parametrize("kind,q,k", ONE_PER_KIND)
+def test_unknown_inject_keys_are_named(kind, q, k):
+    with pytest.raises(InvalidIndexError, match="bogus"):
+        encode((symbols(q)[-1],) * k, CodecParams(kind, q, k), {"bogus": 1})
+
+
+def test_failed_searches_raise_without_a_chained_error():
+    """A search that finds no index raises BalancingInvariantError alone:
+    no cause, and no ValueError shown as its context."""
+    y = (3, 1, -1, -3)
+    cases = [
+        (find_pb_index, ((3, 1), 2), "no polarity balancing point found"),
+        (find_cpb_index, (y, 4, ([0, 1], 1, 4), 100), "no balancing sequence reaches the target sum"),
+        (find_sb_split, ((0, 0, 0), 3, 1, 5, -2, 0), "no feasible split in round 1"),
+    ]
+    for search, args, message in cases:
+        with pytest.raises(BalancingInvariantError) as info:
+            search(*args)
+        exc = info.value
+        assert str(exc) == message
+        assert exc.__cause__ is None
+        assert exc.__context__ is None or exc.__suppress_context__
+
+
 @pytest.mark.parametrize("kind", [None, 3, b"pb"])
 def test_kind_must_be_a_known_name(kind):
     for call in (
@@ -498,6 +527,8 @@ def test_emitted_side_info_reinjects(case):
         inject = {"i": tuple(i for i, _, _ in side.rounds)}
     cw2, side2 = encode(u, params, inject)
     assert cw2 == cw and side2 == side
+    # no inject, however it is written, encodes as the free fields replayed
+    assert encode(u, params, None) == encode(u, params, {}) == (cw, side)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +584,6 @@ def test_params_must_be_integers(q, k):
 
 # ---------------------------------------------------------------------------
 # one checked, cached record per (construction, q, k)
-
-ONE_PER_KIND = [("knuth", 2, 8), ("pb", 5, 7), ("cb", 4, 8), ("cpb", 5, 6), ("sb", 3, 6)]
-
 
 def test_params_are_shared_per_triple():
     params = CodecParams("cb", 5, 7)
