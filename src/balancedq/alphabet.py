@@ -123,9 +123,9 @@ def polarity_sum(word: Sequence[int]) -> int:
 
 
 def symbol_count(word: Sequence[int], j: int, q: int) -> int:
-    """Occurrences of symbol j in word; j must belong to the alphabet."""
-    if j not in symbols(q):
-        raise AlphabetError(f"symbol {j} is not in the order-{q} alphabet")
+    """Occurrences of symbol j in word; j must be an int of the alphabet."""
+    if j not in symbols(q) or type(j) is not int:  # bools and floats are refused too
+        raise AlphabetError(f"symbol {j!r} is not in the order-{q} alphabet")
     return sum(1 for x in word if x == j)
 
 

@@ -14,11 +14,16 @@ bipolar case:
 - sb:    q-1 rounds; round v fixes the count of the round's lowest symbol
          at k/q by rotating a split of the sub-alphabet positions.
 
-Every payload stage is one pass of cached symbol maps over the word, with
-at most one cut: the flip at z, the pb offset, the cpb mirror, an sb round
-at its split, a balancing sequence at its g-th position.  Each statistic is
-one pass too: polarity sums read a cached sign table, and cpb reads k1 and
-its positive sum off one list of positive positions.  cb and cpb share one
+Every payload stage gathers the word's images from cached symbol tables,
+with at most one cut: the flip at z, the pb offset, the cpb mirror, an sb
+round at its split, a balancing sequence at its g-th position.  A table is
+a tuple of 2q slots indexed by the symbol itself, a negative symbol s
+reading slot 2q + s, and one itemgetter call applies it to a whole segment
+in C.  A gather is exact only on a word of the alphabet, so the tables are
+read only after the codec has validated its input.  Each statistic is one
+pass too: the pb search and cpb's side masks gather from the same kind of
+table, and cpb reads k1 and its positive sum off one list of positive
+positions.  cb and cpb share one
 sequence transform and one sliding index search, which makes one pass per
 block of sequences, every symbol stepping by 2 save the one that wraps
 round the window; they differ in the positions the sequence covers and in
@@ -43,12 +48,13 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import gt, lt
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .alphabet import (
     Word,
+    _sign,
     _sign_lookup,
     is_cb,
     is_cpb,
@@ -122,30 +128,81 @@ class Codeword:
         return self.prefix + self.payload
 
 
+# ---------------------------------------------------------------------------
+# symbol tables: a map of the order-q alphabet is a tuple of 2q slots indexed
+# by the symbol itself, so that a negative symbol s reads slot 2q + s
+
+
+def _tabulate(q: int, image: Callable[[int], object]) -> tuple:
+    """The table of image over the order-q alphabet; a slot of no symbol holds None."""
+    return tuple(image(s) if (s + q) % 2 else None for s in chain(range(q), range(-q, 0)))
+
+
+def _gather(table: Sequence, items: Sequence[int]) -> tuple:
+    """(table[x] for x in items) as a tuple, in one C call.
+
+    On a symbol table this is exact only for a word of its alphabet: a
+    foreign int in [-2q, -q) wraps round to a slot.
+    """
+    if len(items) > 1:
+        return itemgetter(*items)(table)
+    # itemgetter(x) returns a scalar and itemgetter() raises
+    return tuple(map(table.__getitem__, items))
+
+
 @lru_cache(maxsize=1024)
-def _rotation(q: int, lo: int, mod: int, d: int) -> Dict[int, int]:
-    """Symbol map of the order-q alphabet: the window lo, lo+2, ..., lo+mod-2
+def _rotation(q: int, lo: int, mod: int, d: int) -> tuple:
+    """Table of the order-q alphabet: the window lo, lo+2, ..., lo+mod-2
     rotates by d, modulo mod, and every other symbol maps to itself."""
-    return {s: lo + (s + d - lo) % mod if lo <= s < lo + mod else s for s in symbols(q)}
+    return _tabulate(q, lambda s: lo + (s + d - lo) % mod if lo <= s < lo + mod else s)
 
 
-def _map_cut(word: Word, cut: int, first: Dict[int, int], rest: Dict[int, int]) -> Word:
-    """word with the map first applied to word[:cut] and rest to the rest."""
-    # no slices: CPython keeps freed tuples of up to 20 items on free lists
-    return tuple(map(dict.__getitem__, chain(repeat(first, cut), repeat(rest)), word))
+@lru_cache(maxsize=1024)
+def _negation(q: int) -> tuple:
+    """Table that inverts the polarity of every symbol."""
+    return _tabulate(q, operator.neg)
+
+
+@lru_cache(maxsize=1024)
+def _signs(q: int) -> tuple:
+    """Table of each symbol's polarity, -1, 0 or +1."""
+    return _tabulate(q, _sign)
+
+
+@lru_cache(maxsize=1024)
+def _mirror(q: int) -> tuple:
+    """Table that reverses the order of the positive symbols."""
+    top = 2 * ((q + 1) // 2)
+    return _tabulate(q, lambda s: top - s if s > 0 else s)
+
+
+@lru_cache(maxsize=1024)
+def _side_mask(q: int, nu: str) -> tuple:
+    """Table that is true on the symbols of the nu side: positive for '+',
+    negative for '-'."""
+    return _tabulate(q, lambda s: s > 0 if nu == "+" else s < 0)
+
+
+def _map_cut(word: Word, cut: int, first: tuple, rest: tuple) -> Word:
+    """word with the table first applied to word[:cut] and rest to the rest."""
+    return _gather(first, word[:cut]) + _gather(rest, word[cut:])
 
 
 def _offset(word: Word, q: int, d: int) -> Word:
     """word with d added to every symbol, modulo the full alphabet."""
-    return tuple(map(_rotation(q, -q + 1, 2 * q, d).__getitem__, word))
+    return _gather(_rotation(q, -q + 1, 2 * q, d), word)
 
 
 def balancing_sequence(i: int, length: int, radix: int) -> Word:
     """The i-th balancing sequence of the given length.
 
     Block j = i // length contributes the value 2j; the first i % length
-    positions carry 2j+2 instead.  Valid for 0 <= i < radix * length.
+    positions carry 2j+2 instead.  Valid for 0 <= i < radix * length; all
+    three must be ints.
     """
+    for name, value in (("index", i), ("length", length), ("radix", radix)):
+        if type(value) is not int:  # bools and floats are refused too
+            raise InvalidIndexError(f"balancing sequence {name} must be an int, got {value!r}")
     if length < 1:
         raise InvalidIndexError(f"balancing sequences need length >= 1, got {length}")
     if not 0 <= i < radix * length:
@@ -159,8 +216,9 @@ def balancing_sequence(i: int, length: int, radix: int) -> Word:
 # polarity balancing, and the bipolar case q = 2
 
 
-def _flip(u: Word, z: int) -> Word:
-    return tuple(chain(map(operator.neg, islice(u, z)), islice(u, z, None)))
+def _flip(u: Word, q: int, z: int) -> Word:
+    """u with the polarity of its first z symbols inverted."""
+    return _gather(_negation(q), u[:z]) + u[z:]
 
 
 def find_pb_offset(u: Sequence[int], q: int) -> int:
@@ -179,7 +237,8 @@ def find_pb_offset(u: Sequence[int], q: int) -> int:
 
 def find_pb_index(u: Sequence[int], q: Optional[int] = None) -> int:
     """Smallest z in [0, k) such that inverting the first z polarities
-    balances the word.  At q=2 the symbols are their own polarities."""
+    balances the word.  At q=2 the symbols are their own polarities, so the
+    codecs pass the word's signs, gathered from their table, with q=2."""
     signs = u if q == 2 else list(map(_sign_lookup(u, q), u))
     total = sum(signs)
     # inverting the first z polarities subtracts twice their sum; a match
@@ -212,15 +271,15 @@ def _pb_stage(
             raise InvalidIndexError(f"offset a={a} has the wrong count parity")
         shifted = _offset(u, q, -a)
     if z is None:
-        z = find_pb_index(shifted, q)
-    elif not (0 <= z < k and is_pb(_flip(shifted, z), q)):
+        z = find_pb_index(shifted if q == 2 else _gather(_signs(q), shifted), 2)
+    elif not (0 <= z < k and is_pb(_flip(shifted, q, z), q)):
         raise InvalidIndexError(f"z={z} does not {goal} this word")
-    return _flip(shifted, z), a, z
+    return _flip(shifted, q, z), a, z
 
 
 def _pb_unstage(word: Word, q: int, z: int, a: Optional[int]) -> Word:
     """Inverse of _pb_stage."""
-    word = _flip(word, z)
+    word = _flip(word, q, z)
     return word if a is None else _offset(word, q, a)
 
 
@@ -327,22 +386,15 @@ def cb_decode(cw: Codeword, params: CodecParams) -> Word:
 def _side(word: Word, q: int, nu: str) -> Tuple[list, int, int]:
     """Positions of the nu side's symbols in word, and the lowest symbol and
     the modulus of that half-alphabet."""
-    on_side = map(gt if nu == "+" else lt, word, repeat(0))
+    on_side = _gather(_side_mask(q, nu), word)
     lo = 1 + q % 2 if nu == "+" else -q + 1
     return list(compress(range(len(word)), on_side)), lo, 2 * (q // 2)
-
-
-@lru_cache(maxsize=1024)
-def _mirror(q: int) -> Dict[int, int]:
-    """Symbol map that reverses the order of the positive symbols."""
-    top = 2 * ((q + 1) // 2)
-    return {s: top - s if s > 0 else s for s in symbols(q)}
 
 
 def _cpb_flags(y: Word, q: int) -> Tuple[int, str, int]:
     """The mirror flag xi and the side nu that the joint construction derives
     from its polarity-balanced word y, and the sum that balances that side."""
-    plus = list(compress(y, map(gt, y, repeat(0))))
+    plus = list(compress(y, _gather(_side_mask(q, "+"), y)))
     pos_sum = sum(plus)
     neg_sum = pos_sum - sum(y)
     pivot = len(plus) * ((q + 1) // 2)
@@ -365,7 +417,7 @@ def find_cpb_index(word: Word, q: int, window: tuple, target: int) -> int:
     symbols to target; window is that side's (positions, lo, mod), as _side
     gives it."""
     positions, lo, mod = window
-    return _find_sequence(tuple(map(word.__getitem__, positions)), lo, mod, target)
+    return _find_sequence(_gather(word, positions), lo, mod, target)
 
 
 def cpb_encode(
@@ -388,7 +440,7 @@ def cpb_encode(
         raise InvalidIndexError(f"nu={nu!r} does not match the derived side {flags[1]!r}")
     xi, nu, target = flags
     if xi:
-        y = tuple(map(_mirror(q).__getitem__, y))
+        y = _gather(_mirror(q), y)
     positions, lo, mod = window = _side(y, q, nu)
     w_space = _cpb_w_space(q, len(positions))
     if w is None:
@@ -396,7 +448,7 @@ def cpb_encode(
     elif not 0 <= w < w_space:
         raise InvalidIndexError(f"w={w} outside 0..{w_space - 1}")
     payload = _add_sequence(y, q, positions, lo, mod, w)
-    if sum(map(payload.__getitem__, positions)) != target:
+    if sum(_gather(payload, positions)) != target:
         raise InvalidIndexError(f"w={w} does not balance the {nu} side")
     side = CpbSide(z, xi, nu, w, a)
     return Codeword(encode_prefix(side, params.plan), payload), side
@@ -408,7 +460,7 @@ def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
     positions, lo, mod = _side(cw.payload, q, side.nu)
     word = _add_sequence(cw.payload, q, positions, lo, mod, side.w, -1)
     if side.xi:
-        word = tuple(map(_mirror(q).__getitem__, word))
+        word = _gather(_mirror(q), word)
     # encode derives xi and nu from the word before the mirror
     if side.w >= _cpb_w_space(q, len(positions)) or _cpb_flags(word, q)[:2] != (side.xi, side.nu):
         raise DecodeError(f"side info {side} was not produced for this payload")

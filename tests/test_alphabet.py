@@ -114,6 +114,14 @@ def test_sums_and_counts():
         symbol_count(w, 3, 5)
 
 
+@pytest.mark.parametrize("j", [True, 1.0, "1"])
+def test_symbol_count_refuses_a_symbol_that_is_not_an_int(j):
+    # True and 1.0 equal the symbol 1 of the order-2 alphabet but are foreign
+    with pytest.raises(AlphabetError, match="is not in the order-2 alphabet"):
+        symbol_count((1, 1), j, 2)
+    assert symbol_count((1, 1), 1, 2) == 2
+
+
 def test_phi():
     assert phi(4) == 1
     assert phi(-2) == -1

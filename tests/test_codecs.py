@@ -14,6 +14,10 @@ from balancedq.codecs import (
     CodecParams,
     Codeword,
     _mirror,
+    _negation,
+    _rotation,
+    _side_mask,
+    _signs,
     balancing_sequence,
     cb_encode,
     cpb_encode,
@@ -128,6 +132,17 @@ def test_balancing_sequences():
         balancing_sequence(35, 7, 5)
     with pytest.raises(InvalidIndexError):
         balancing_sequence(-1, 7, 5)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [((1.0, 3, 2), "index"), ((True, 3, 2), "index"), ((1, 3.0, 2), "length"),
+     ((1, True, 2), "length"), ((1, 3, 2.0), "radix"), ((1, 3, True), "radix")],
+)
+def test_balancing_sequence_arguments_must_be_ints(args, name):
+    # a bool or a float equal to an int is refused, as unrank and unpack refuse it
+    with pytest.raises(InvalidIndexError, match=f"balancing sequence {name} must be an int"):
+        balancing_sequence(*args)
 
 
 def test_find_knuth_index_is_smallest():
@@ -657,5 +672,6 @@ def test_malformed_codewords_raise_decode_error(kind, q, k):
 
 
 def test_symbol_caches_are_bounded():
-    for cached in (symbols, sub_alphabet, _symbol_set, _mirror):
+    tables = (_rotation, _negation, _signs, _mirror, _side_mask)
+    for cached in (symbols, sub_alphabet, _symbol_set, *tables):
         assert isinstance(cached.cache_info().maxsize, int)

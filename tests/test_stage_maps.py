@@ -1,12 +1,15 @@
-"""The payload stages as symbol maps, against the per-symbol formulas.
+"""The payload stages as gathers from symbol tables, against the per-symbol formulas.
 
-The codecs run every payload stage as a cached symbol map applied on either
-side of one cut.  The reference functions below are the per-symbol formulas
-those maps replaced; each stage must agree with them on every symbol, every
-window the codecs use, every shift and every cut, and whole codewords at
-k=2048 must equal what the reference stages give for the same side info.
-At k near 1023 and at 2048, each default index search must pick the index
-that a per-symbol scan picks.
+The codecs run every payload stage as a gather from a cached symbol table,
+a tuple of 2q slots indexed by the symbol itself (a negative symbol s reads
+slot 2q + s), applied on either side of one cut.  The reference functions
+below are the per-symbol formulas those tables replaced.  Every slot of
+every table must agree with them, and so must each stage on every symbol,
+every window the codecs use, every shift and every cut, including segments
+of length 0 and 1, q=2 and q=1001.  Whole codewords at k=2048 must equal
+what the reference stages give for the same side info.  At k near 1023 and
+at 2048, each default index search must pick the index that a per-symbol
+scan picks.
 """
 
 import random
@@ -19,13 +22,19 @@ from balancedq.codebook import CbSide, CpbSide, KnuthSide, PbSide, SbSide
 from balancedq.codecs import (
     CodecParams,
     _add_sequence,
+    _cpb_flags,
     _flip,
+    _gather,
+    _map_cut,
     _mirror,
+    _negation,
     _offset,
     _rotation,
     _sb_round,
     _sb_round_stats,
     _side,
+    _side_mask,
+    _signs,
     balancing_sequence,
     decode,
     encode,
@@ -115,6 +124,89 @@ def every_symbol_word(q, copies=2, seed=0):
 # every stage on every symbol, window, shift and cut
 
 
+@pytest.mark.parametrize("q", [*ORDERS, 1001])
+def test_every_table_slot_matches_the_reference(q):
+    """Each symbol's slot holds its image, and no other slot holds one; at
+    q=2 the one negative symbol, -1, reads the last slot."""
+    syms = symbols(q)
+    tables = {
+        "negation": (_negation(q), lambda s: ref_flip((s,), 1)[0]),
+        "mirror": (_mirror(q), lambda s: ref_mirror((s,), q)[0]),
+        "signs": (_signs(q), lambda s: (s > 0) - (s < 0)),
+        "+": (_side_mask(q, "+"), lambda s: s > 0),
+        "-": (_side_mask(q, "-"), lambda s: s < 0),
+    }
+    for d in range(-2 * q, 2 * q + 1, 2 if q < 10 else 500):
+        tables[d] = (_rotation(q, -q + 1, 2 * q, d), lambda s, d=d: ref_offset((s,), q, d)[0])
+    for name, (table, ref) in tables.items():
+        assert len(table) == 2 * q, name  # so a negative s reads slot 2q + s
+        assert [table[s] for s in syms] == [ref(s) for s in syms], name
+        assert sum(x is not None for x in table) == q, name
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 1001])
+def test_short_segments_and_edge_cuts(q):
+    """Gathers of 0 and 1 symbols take their own path; cuts at 0 and at the
+    end of the word leave one side empty."""
+    table = _rotation(q, -q + 1, 2 * q, 2)
+    syms = symbols(q)
+    assert _gather(table, ()) == ()
+    for s in (syms[0], syms[-1]):
+        assert _gather(table, (s,)) == ref_offset((s,), q, 2)
+        assert _gather(table, [s]) == ref_offset((s,), q, 2)
+    first, rest = _negation(q), _mirror(q)
+    for word in ((), (syms[0],), (syms[-1],), every_symbol_word(q, 1)[:5]):
+        for cut in range(len(word) + 1):  # 0 and len(word) among them
+            want = ref_flip(word[:cut], cut) + ref_mirror(word[cut:], q)
+            assert _map_cut(word, cut, first, rest) == want, (word, cut)
+            assert _flip(word, q, cut) == ref_flip(word, cut), (word, cut)
+        assert _offset(word, q, 2) == ref_offset(word, q, 2)
+        for nu in "+-":
+            assert _side(word, q, nu) == ref_side(word, q, nu)
+    # a one-symbol sequence window cuts at 0 or 1
+    for s in (syms[0], syms[-1]):
+        for z in range(q):
+            for sign in (1, -1):
+                want = ref_add_sequence((s,), range(1), -q + 1, 2 * q, z, sign)
+                assert _add_sequence((s,), q, range(1), -q + 1, 2 * q, z, sign) == want
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 1001])
+def test_cpb_word_with_an_empty_side(q):
+    """An all-zero word at odd q has no symbol on either side: no positions,
+    no sequence, xi=0 and nu='+'."""
+    for k in (2, 3, 6):
+        word = (0,) * k
+        for nu in "+-":
+            positions, lo, mod = ref_side(word, q, nu)
+            assert positions == [] and _side(word, q, nu) == (positions, lo, mod)
+            assert _add_sequence(word, q, positions, lo, mod, 0) == word
+        assert _cpb_flags(word, q) == (0, "+", 0) and ref_cpb_flags(word, q) == (0, "+")
+        # k copies of the lowest symbol take it as their offset, so the
+        # encoder's polarity-balanced word is all zeros
+        u = (-q + 1,) * k
+        params = CodecParams("cpb", q, k)
+        cw, side = encode(u, params)
+        assert side == CpbSide(0, 0, "+", 0, -q + 1)
+        assert cw.payload == word == ref_payload(u, q, side)
+        assert decode(cw, params) == u
+
+
+@pytest.mark.parametrize(
+    "kind,q", [("knuth", 2), ("pb", 2), ("cb", 2), ("pb", 1001), ("cb", 1001), ("cpb", 1001)]
+)
+def test_codewords_at_the_smallest_and_a_wide_alphabet(kind, q):
+    """Searched codewords at q=2 and q=1001 equal the reference stages'."""
+    rng = random.Random(f"tables:{kind}:{q}")
+    for k in (1, 2, 3, 16) if q % 2 and kind != "cpb" else (2, 16):
+        params = CodecParams(kind, q, k)
+        for _ in range(4):
+            u = tuple(rng.choices(symbols(q), k=k))
+            cw, side = encode(u, params)
+            assert cw.payload == ref_payload(u, q, side), (u, side)
+            assert decode(cw, params) == u
+
+
 @pytest.mark.parametrize("q", ORDERS)
 def test_offset_matches_reduce_full(q):
     word = symbols(q)
@@ -126,7 +218,7 @@ def test_offset_matches_reduce_full(q):
 def test_flip_and_mirror(q):
     word = every_symbol_word(q)
     for z in range(len(word) + 1):
-        assert _flip(word, z) == ref_flip(word, z), z
+        assert _flip(word, q, z) == ref_flip(word, z), z
     assert tuple(map(_mirror(q).__getitem__, word)) == ref_mirror(word, q)
 
 
