@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from operator import countOf
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import AlphabetError, WordParseError, _check_q, _Record
 
@@ -50,30 +50,6 @@ def sub_alphabet(q: int, v: int) -> Word:
 @lru_cache(maxsize=1024)
 def _symbol_set(q: int) -> frozenset:
     return frozenset(symbols(q))
-
-
-class _SignTable(dict):
-    """{symbol: sign} of one alphabet; any other value is signed by comparison."""
-
-    def __missing__(self, x):
-        return _sign(x)
-
-
-@lru_cache(maxsize=1024)
-def _sign_table(q: int) -> _SignTable:
-    """The order-q sign table, for one-pass polarity sums."""
-    return _SignTable((s, _sign(s)) for s in symbols(q))
-
-
-def _sign_lookup(word: Sequence[int], q: Optional[int]) -> Callable[[int], int]:
-    """The sign of each of word's symbols: a lookup in the cached order-q
-    table, or the comparisons for a word shorter than q or no valid q."""
-    try:
-        if len(word) >= q:
-            return _sign_table(q).__getitem__
-    except (AlphabetError, TypeError):
-        pass
-    return _sign
 
 
 def validate_word(word: Sequence[int], q: int) -> Word:
@@ -149,6 +125,7 @@ def is_sb(word: Sequence[int], q: int) -> bool:
     False whenever q does not divide the length.  The empty word is
     symbol-balanced (all counts equal zero).
     """
+    _check_q(q)
     n = len(word)
     if n % q:
         return False
@@ -164,7 +141,7 @@ def is_cb(word: Sequence[int], q: int) -> bool:
 
 def is_pb(word: Sequence[int], q: int) -> bool:
     """Polarity-balanced: as many positive as negative symbols (zeros free)."""
-    return sum(map(_sign_lookup(word, q), word)) == 0
+    return polarity_sum(word) == 0
 
 
 def is_cpb(word: Sequence[int], q: int) -> bool:

@@ -91,10 +91,10 @@ def _input_text(args: argparse.Namespace) -> str:
 
 
 def _parse_word_for(text: str, q: int) -> Tuple[int, ...]:
-    from .alphabet import parse_word, symbols
+    from .alphabet import _symbol_set, parse_word
 
     word = parse_word(text)
-    alpha = symbols(q)
+    alpha = _symbol_set(q)
     bad = [x for x in word if x not in alpha]
     if bad:
         raise WordParseError(f"symbols {bad} are not in the order-{q} alphabet")

@@ -20,8 +20,9 @@ Rank/unrank order words lexicographically under the natural symbol order
 For cb, pb and cpb a cached row holds, per prefix sums and symbols left,
 the running sums over the next symbol of the counting module's counts of
 its balanced completions; rank adds one entry per position, unrank bisects
-the row, and a symbol with no completions refuses an unbalanced word.  sb
-walks ratios of multinomials.
+the row, and a symbol with no completions refuses an unbalanced word.  A pb
+row takes three counts, one per sign class, each repeated over that class's
+run of symbols.  sb walks ratios of multinomials.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .alphabet import Word, sub_alphabet, symbols, validate_word
@@ -315,11 +316,9 @@ _TRACKED = {"cb": (1, 0), "pb": (0, 1), "cpb": (1, 1)}
 
 
 def _completions(kind: str, q: int, r: int, c: int, p: int) -> int:
-    """Balanced completions by r symbols of a prefix with symbol sum c and
-    polarity sum p, counted by the counting module."""
-    if kind == "cb":
-        return charge_count(r, q, -c)
-    return polarity_count(r, q, -p) if kind == "pb" else joint_count(r, q, -c, -p)
+    """cb or cpb-balanced completions by r symbols of a prefix with symbol
+    sum c and polarity sum p, counted by the counting module."""
+    return charge_count(r, q, -c) if kind == "cb" else joint_count(r, q, -c, -p)
 
 
 @lru_cache(maxsize=4096)
@@ -328,7 +327,12 @@ def _row(kind: str, q: int, r: int, c: int, p: int) -> tuple:
     below symbols(q)[t]; row[-1] counts them all."""
     if r >= RETAINED_MAX:
         raise CapacityError(f"enumerative coding of balanced words supports n <= {RETAINED_MAX}")
-    cells = (_completions(kind, q, r, c + s, p + (s > 0) - (s < 0)) for s in symbols(q))
+    if kind == "pb":
+        # one count per sign class, over its run of q//2, q%2 and q//2 symbols
+        runs = zip((-1, 0, 1), (q // 2, q % 2, q // 2))
+        cells = chain.from_iterable(repeat(polarity_count(r, q, -p - d), m) for d, m in runs)
+    else:
+        cells = (_completions(kind, q, r, c + s, p + (s > 0) - (s < 0)) for s in symbols(q))
     return tuple(accumulate(cells, initial=0))
 
 

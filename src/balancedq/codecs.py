@@ -21,13 +21,13 @@ a tuple of 2q slots indexed by the symbol itself, a negative symbol s
 reading slot 2q + s, and one itemgetter call applies it to a whole segment
 in C.  A gather is exact only on a word of the alphabet, so the tables are
 read only after the codec has validated its input.  Each statistic is one
-pass too: the pb search and cpb's side masks gather from the same kind of
-table, and cpb reads k1 and its positive sum off one list of positive
-positions.  cb and cpb share one
-sequence transform and one sliding index search, which makes one pass per
-block of sequences, every symbol stepping by 2 save the one that wraps
-round the window; they differ in the positions the sequence covers and in
-the sub-alphabet window it rotates.
+pass too: the pb search, the pb and cpb payload predicates and cpb's side
+masks gather from the same kind of table, and cpb reads k1 and its positive
+sum off one list of positive positions.  cb and cpb share one sequence
+transform and one sliding index search, which makes one pass per block of
+sequences, every symbol stepping by 2 save the one that wraps round the
+window; they differ in the positions the sequence covers and in the
+sub-alphabet window it rotates.
 
 Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
@@ -52,18 +52,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .alphabet import (
-    Word,
-    _sign,
-    _sign_lookup,
-    is_cb,
-    is_cpb,
-    is_pb,
-    is_sb,
-    sub_alphabet,
-    symbols,
-    validate_word,
-)
+from .alphabet import Word, _sign, is_cb, is_sb, sub_alphabet, symbols, validate_word
 from .codebook import (
     CbSide,
     CpbSide,
@@ -83,9 +72,6 @@ from .errors import (
     InfeasibleParamsError,
     InvalidIndexError,
 )
-
-PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": is_pb, "cpb": is_cpb}
-
 
 class CodecParams:
     """Validated (construction, q, k) triple with its prefix plan; equal
@@ -239,7 +225,7 @@ def find_pb_index(u: Sequence[int], q: Optional[int] = None) -> int:
     """Smallest z in [0, k) such that inverting the first z polarities
     balances the word.  At q=2 the symbols are their own polarities, so the
     codecs pass the word's signs, gathered from their table, with q=2."""
-    signs = u if q == 2 else list(map(_sign_lookup(u, q), u))
+    signs = u if q == 2 else list(map(_sign, u))
     total = sum(signs)
     # inverting the first z polarities subtracts twice their sum; a match
     # at z = k would mean total = 0, which z = 0 already matches
@@ -272,9 +258,18 @@ def _pb_stage(
         shifted = _offset(u, q, -a)
     if z is None:
         z = find_pb_index(shifted if q == 2 else _gather(_signs(q), shifted), 2)
-    elif not (0 <= z < k and is_pb(_flip(shifted, q, z), q)):
+    elif not (0 <= z < k and _is_pb(_flip(shifted, q, z), q)):
         raise InvalidIndexError(f"z={z} does not {goal} this word")
     return _flip(shifted, q, z), a, z
+
+
+def _is_pb(word: Word, q: int) -> bool:
+    """is_pb of a validated word, its signs gathered from their table."""
+    return not sum(_gather(_signs(q), word))
+
+
+def _is_cpb(word: Word, q: int) -> bool:
+    return is_cb(word, q) and _is_pb(word, q)
 
 
 def _pb_unstage(word: Word, q: int, z: int, a: Optional[int]) -> Word:
@@ -585,6 +580,9 @@ def _checked_prefix(cw: Codeword, params: CodecParams, kind: str) -> SideInfo:
         raise DecodeError(f"payload is not {balance}-balanced")
     return side
 
+
+# the payload predicates, for a word the codec has validated
+PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": _is_pb, "cpb": _is_cpb}
 
 _CODECS = {
     "knuth": (knuth_encode, knuth_decode),

@@ -7,7 +7,8 @@ resident between calls.
   inclusion-exclusion with exact ratio updates (direct binomials once q
   outgrows n, so the cost does not grow with q).
 - Polarity and symbol-balanced counts are closed multinomial forms, built
-  term by term.
+  term by term.  polarity_count keeps no memo: a pb prefix row asks it for
+  one count per sign class, three in all.
 - cpb counts combine the polarity pattern with the half-alphabet charge
   distribution: one central charge count at even q, and at odd q a series
   of central coefficients S_h(j) of A_(2j) = (1 + ... + x^(h-1))^(2j),
@@ -59,8 +60,13 @@ _halfsum_series: Dict[int, Tuple[int, int, List[int], List[int]]] = {}
 def _check_nq(n: int, q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise InfeasibleParamsError(f"alphabet order must be an integer >= 2, got {q!r}")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # bools and floats are refused too
         raise InfeasibleParamsError(f"length must be a non-negative integer, got {n!r}")
+
+
+def _check_sum(name: str, value: int) -> None:
+    if type(value) is not int:  # bools and floats are refused too
+        raise InfeasibleParamsError(f"{name} must be an int, got {value!r}")
 
 
 def _charge_step(prev: Tuple[int, ...], q: int) -> Tuple[int, ...]:
@@ -112,13 +118,13 @@ def _charge_coefficient(n: int, q: int, m: int) -> int:
 def charge_count(n: int, q: int, charge: int = 0) -> int:
     """Exact number of length-n words whose symbols sum to charge."""
     _check_nq(n, q)
+    _check_sum("charge", charge)
     span = n * (q - 1)
     if abs(charge) > span or (charge + span) % 2:
         return 0
     return _charge_coefficient(n, q, (charge + span) // 2)
 
 
-@lru_cache(maxsize=1 << 16)
 def polarity_count(n: int, q: int, polarity: int = 0) -> int:
     """Exact number of length-n words with the given polarity sum.
 
@@ -128,6 +134,7 @@ def polarity_count(n: int, q: int, polarity: int = 0) -> int:
     Even q has no zero symbol, which leaves the single term z = 0.
     """
     _check_nq(n, q)
+    _check_sum("polarity", polarity)
     p = abs(polarity)
     if p > n:
         return 0
@@ -248,6 +255,8 @@ def joint_census(n: int, q: int) -> JointCensus:
 def joint_count(n: int, q: int, charge: int = 0, polarity: int = 0) -> int:
     """Exact number of length-n words with the given charge and polarity sums."""
     _check_nq(n, q)
+    _check_sum("charge", charge)
+    _check_sum("polarity", polarity)
     span = n * (q - 1)
     if abs(charge) > span or (charge + span) % 2 or abs(polarity) > n:
         return 0

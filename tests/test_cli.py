@@ -144,6 +144,16 @@ def test_exit_parse_error(capsys):
     assert code == 3  # no prefix separator
 
 
+def test_foreign_symbols_are_listed_in_word_order(capsys):
+    word = "+5001,0,-5000,-5002,+5001,+2"
+    code, out, err = run(capsys, "encode", "--kind", "pb", "--q", "5001", "--word=" + word)
+    assert (code, out) == (3, "")
+    assert err == "balancedq: symbols [5001, -5002, 5001] are not in the order-5001 alphabet\n"
+    code, out, err = run(capsys, "decode", "--kind", "pb", "--q", "4", "--word=+3,0|-3,+1")
+    assert (code, out) == (3, "")
+    assert err == "balancedq: symbols [0] are not in the order-4 alphabet\n"
+
+
 def test_exit_infeasible(capsys):
     code, _, err = run(capsys, "encode", "--kind", "knuth", "--q", "2", "--word", "+1,-1,+1")
     assert code == 2  # odd length

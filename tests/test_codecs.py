@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from balancedq import codebook, codecs
+from balancedq import alphabet, codebook, codecs
 from balancedq.alphabet import _symbol_set, is_cb, is_cpb, is_pb, is_sb, sub_alphabet, symbols
 from balancedq.asymptotics import approx_redundancy
 from balancedq.codebook import CpbSide, balance_kind, encode_prefix, plan, side_info_space
@@ -193,7 +193,7 @@ def test_find_pb_index_balances():
 
 
 # ---------------------------------------------------------------------------
-# polarity sums outside the alphabet: the sign table must not change an answer
+# polarity sums outside the alphabet: signing by comparison keeps every answer
 
 
 def two_pass_is_pb(word):
@@ -243,6 +243,13 @@ def test_polarity_sums_keep_their_answers_outside_the_alphabet(q):
                     find_pb_index(word, order)
             else:
                 assert find_pb_index(word, order) == want_z, (word, order)
+
+
+@pytest.mark.parametrize("bad_q", [q for q in BAD_ORDERS if q != 10**12])
+def test_is_sb_refuses_a_bad_order(bad_q):
+    for word in ((), (1, -1)):
+        with pytest.raises(AlphabetError):
+            is_sb(word, bad_q)
 
 
 def test_polarity_sums_of_uncomparable_symbols_still_raise():
@@ -633,8 +640,13 @@ def test_warm_roundtrip_checks_once_per_word(monkeypatch, kind, q, k):
     record_calls(monkeypatch, codebook, "_check_construction_params", calls)
     for owner in (codecs, codebook):
         record_calls(monkeypatch, owner, "validate_word", calls)
+    for name in ("is_pb", "is_cpb"):
+        for owner in (alphabet, codecs):
+            if hasattr(owner, name):
+                record_calls(monkeypatch, owner, name, calls)
     roundtrip(kind, q, k)
-    # the data word, the payload, and the prefix (in rank); no triple check
+    # the data word, the payload, and the prefix (in rank); no triple check,
+    # and the payload predicate gathers the codec's own sign table
     assert calls == ["validate_word"] * 3
 
 

@@ -181,6 +181,28 @@ def test_exact_count_rejects_unknown_kind():
         exact_count("bogus", 4, 3)
 
 
+def test_lengths_must_be_ints():
+    for n in (True, False, 3.0):
+        for kind in KINDS:
+            with pytest.raises(InfeasibleParamsError):
+                exact_count(kind, n, 3)
+        with pytest.raises(InfeasibleParamsError):
+            joint_census(n, 3)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, True, False, "0", None, [], [0]])
+def test_charge_and_polarity_must_be_ints(bad):
+    calls = [
+        lambda: charge_count(2, 3, bad),
+        lambda: polarity_count(3, 5, bad),
+        lambda: joint_count(3, 5, bad, 0),
+        lambda: joint_count(3, 5, 0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InfeasibleParamsError):
+            call()
+
+
 @given(st.integers(2, 5), st.integers(0, 9))
 @settings(deadline=None)
 def test_nesting_of_families(q, n):
