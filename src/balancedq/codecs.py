@@ -20,14 +20,17 @@ round at its split, a balancing sequence at its g-th position.  A table is
 a tuple of 2q slots indexed by the symbol itself, a negative symbol s
 reading slot 2q + s, and one itemgetter call applies it to a whole segment
 in C.  A gather is exact only on a word of the alphabet, so the tables are
-read only after the codec has validated its input.  Each statistic is one
-pass too: the pb search, the pb and cpb payload predicates and cpb's side
-masks gather from the same kind of table, and cpb reads k1 and its positive
-sum off one list of positive positions.  cb and cpb share one sequence
-transform and one sliding index search, which makes one pass per block of
-sequences, every symbol stepping by 2 save the one that wraps round the
-window; they differ in the positions the sequence covers and in the
-sub-alphabet window it rotates.
+read only after the codec has validated its input.  At odd q the pb offset
+and flip are one map, the flip composed with the offset before the cut.
+Each statistic is one gather and one sum too: the pb search and predicate
+sum signs, at odd q read through the offset, and cpb's flags and predicate
+sum a packed table whose slot holds a symbol's charge, absolute value and
+positive and negative flags as the base-2**b digits of one int; with
+2**b > k*(q-1) no digit of the sum carries into the next.  cb and cpb share
+one sequence transform and one sliding index search, which makes one pass
+per block of sequences, every symbol stepping by 2 save the one that wraps
+round the window; they differ in the positions the sequence covers and in
+the sub-alphabet window it rotates.
 
 Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
@@ -52,7 +55,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .alphabet import Word, _sign, is_cb, is_sb, sub_alphabet, symbols, validate_word
+from .alphabet import Word, _sign, _symbol_set, is_cb, is_sb, sub_alphabet, symbols, validate_word
 from .codebook import (
     CbSide,
     CpbSide,
@@ -144,15 +147,28 @@ def _rotation(q: int, lo: int, mod: int, d: int) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _negation(q: int) -> tuple:
-    """Table that inverts the polarity of every symbol."""
-    return _tabulate(q, operator.neg)
+def _shifted(q: int, d: int, image: Callable[[int], int]) -> tuple:
+    """Table of image(r), r being s + d reduced into the full alphabet.
+
+    d = 0 gives the flip (operator.neg) and the polarities (_sign).  Negation
+    commutes with the offset, so (q, d, operator.neg) is also the flip
+    followed by the offset by -d.
+    """
+    offset = _rotation(q, -q + 1, 2 * q, d)
+    return _tabulate(q, lambda s: image(offset[s]))
 
 
 @lru_cache(maxsize=1024)
-def _signs(q: int) -> tuple:
-    """Table of each symbol's polarity, -1, 0 or +1."""
-    return _tabulate(q, _sign)
+def _tallies(q: int, b: int) -> tuple:
+    """Table of each symbol s's charge s, absolute value |s|, positive flag
+    [s > 0] and negative flag [s < 0] as the base-2**b digits of one int,
+    the charge most significant.
+
+    Summed over k symbols, the three low digits are at most k*(q-1), so when
+    2**b > k*(q-1) no digit carries into the next and the sum holds all four
+    totals exactly; the signed charge sits on top, where a shift reads it.
+    """
+    return _tabulate(q, lambda s: (s << 3 * b) + (abs(s) << 2 * b) + ((s > 0) << b) + (s < 0))
 
 
 @lru_cache(maxsize=1024)
@@ -174,9 +190,13 @@ def _map_cut(word: Word, cut: int, first: tuple, rest: tuple) -> Word:
     return _gather(first, word[:cut]) + _gather(rest, word[cut:])
 
 
-def _offset(word: Word, q: int, d: int) -> Word:
-    """word with d added to every symbol, modulo the full alphabet."""
-    return _gather(_rotation(q, -q + 1, 2 * q, d), word)
+def _tally(word: Word, q: int) -> Tuple[int, int, int, int]:
+    """(charge, absolute sum, positive count, negative count) of a validated
+    word, from one gather and one sum."""
+    b = (len(word) * (q - 1)).bit_length()  # the least b with 2**b > k*(q-1)
+    total = sum(_gather(_tallies(q, b), word))
+    mask = (1 << b) - 1
+    return total >> 3 * b, total >> 2 * b & mask, total >> b & mask, total & mask
 
 
 def balancing_sequence(i: int, length: int, radix: int) -> Word:
@@ -204,7 +224,7 @@ def balancing_sequence(i: int, length: int, radix: int) -> Word:
 
 def _flip(u: Word, q: int, z: int) -> Word:
     """u with the polarity of its first z symbols inverted."""
-    return _gather(_negation(q), u[:z]) + u[z:]
+    return _gather(_shifted(q, 0, operator.neg), u[:z]) + u[z:]
 
 
 def find_pb_offset(u: Sequence[int], q: int) -> int:
@@ -249,33 +269,43 @@ def _pb_stage(
     if q % 2 == 0:
         if a is not None:
             raise InvalidIndexError("offset symbols only apply to odd q")
-        shifted = u
-    else:
+    elif a is None:
+        a = find_pb_offset(u, q)
+    elif a not in _symbol_set(q):
+        raise InvalidIndexError(f"offset a={a} is not a symbol of the order-{q} alphabet")
+    elif u.count(a) % 2 != k % 2:
+        raise InvalidIndexError(f"offset a={a} has the wrong count parity")
+    d = 0 if a is None else -a
+    searched = z is None
+    if searched:
+        z = find_pb_index(u if q == 2 else _gather(_shifted(q, d, _sign), u), 2)
+    if 0 <= z < k:
         if a is None:
-            a = find_pb_offset(u, q)
-        elif a not in symbols(q) or u.count(a) % 2 != k % 2:
-            raise InvalidIndexError(f"offset a={a} has the wrong count parity")
-        shifted = _offset(u, q, -a)
-    if z is None:
-        z = find_pb_index(shifted if q == 2 else _gather(_signs(q), shifted), 2)
-    elif not (0 <= z < k and _is_pb(_flip(shifted, q, z), q)):
-        raise InvalidIndexError(f"z={z} does not {goal} this word")
-    return _flip(shifted, q, z), a, z
+            y = _flip(u, q, z)
+        else:
+            y = _map_cut(u, z, _shifted(q, d, operator.neg), _rotation(q, -q + 1, 2 * q, d))
+        # an injected z is checked on the word it builds
+        if searched or _is_pb(y, q):
+            return y, a, z
+    raise InvalidIndexError(f"z={z} does not {goal} this word")
 
 
 def _is_pb(word: Word, q: int) -> bool:
     """is_pb of a validated word, its signs gathered from their table."""
-    return not sum(_gather(_signs(q), word))
+    return not sum(_gather(_shifted(q, 0, _sign), word))
 
 
 def _is_cpb(word: Word, q: int) -> bool:
-    return is_cb(word, q) and _is_pb(word, q)
+    """is_cpb of a validated word, from its tallies."""
+    charge, _, plus, minus = _tally(word, q)
+    return not charge and plus == minus
 
 
 def _pb_unstage(word: Word, q: int, z: int, a: Optional[int]) -> Word:
-    """Inverse of _pb_stage."""
-    word = _flip(word, q, z)
-    return word if a is None else _offset(word, q, a)
+    """Inverse of _pb_stage, whose table before the cut is its own inverse."""
+    if a is None:
+        return _flip(word, q, z)
+    return _map_cut(word, z, _shifted(q, -a, operator.neg), _rotation(q, -q + 1, 2 * q, a))
 
 
 def pb_encode(
@@ -383,16 +413,23 @@ def _side(word: Word, q: int, nu: str) -> Tuple[list, int, int]:
     the modulus of that half-alphabet."""
     on_side = _gather(_side_mask(q, nu), word)
     lo = 1 + q % 2 if nu == "+" else -q + 1
-    return list(compress(range(len(word)), on_side)), lo, 2 * (q // 2)
+    return list(compress(_indices(len(word)), on_side)), lo, 2 * (q // 2)
+
+
+@lru_cache(maxsize=64)
+def _indices(k: int) -> tuple:
+    """tuple(range(k)): compress over it passes on ints that exist already,
+    where over range(k) it makes one for every index above 256."""
+    return tuple(range(k))
 
 
 def _cpb_flags(y: Word, q: int) -> Tuple[int, str, int]:
     """The mirror flag xi and the side nu that the joint construction derives
     from its polarity-balanced word y, and the sum that balances that side."""
-    plus = list(compress(y, _gather(_side_mask(q, "+"), y)))
-    pos_sum = sum(plus)
-    neg_sum = pos_sum - sum(y)
-    pivot = len(plus) * ((q + 1) // 2)
+    charge, abs_sum, k1, _ = _tally(y, q)
+    pos_sum = (abs_sum + charge) // 2
+    neg_sum = abs_sum - pos_sum
+    pivot = k1 * ((q + 1) // 2)
     xi = 1 if (pos_sum < pivot < neg_sum or neg_sum < pivot < pos_sum) else 0
     if xi:  # the mirror keeps the positive positions and maps s to 2*((q+1)//2) - s
         pos_sum = 2 * pivot - pos_sum

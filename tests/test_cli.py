@@ -167,6 +167,16 @@ def test_exit_infeasible(capsys):
     assert code == 2  # injected index does not balance
 
 
+def test_exit_bad_injected_offset(capsys):
+    # 1 is not a symbol at q=5; 0 is, but its count in the word is even
+    for a, message in (
+        (1, "offset a=1 is not a symbol of the order-5 alphabet"),
+        (0, "offset a=0 has the wrong count parity"),
+    ):
+        code, out, err = run(capsys, "encode", "--kind", "pb", "--q", "5", "--word=+4", f"--inject=a={a}")
+        assert code == 2 and out == "" and message in err
+
+
 def test_exit_bad_inject_syntax(capsys):
     code, _, err = run(
         capsys,

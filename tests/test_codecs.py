@@ -13,11 +13,12 @@ from balancedq.codebook import CpbSide, balance_kind, encode_prefix, plan, side_
 from balancedq.codecs import (
     CodecParams,
     Codeword,
+    _indices,
     _mirror,
-    _negation,
     _rotation,
+    _shifted,
     _side_mask,
-    _signs,
+    _tallies,
     balancing_sequence,
     cb_encode,
     cpb_encode,
@@ -278,8 +279,10 @@ def test_injection_validation():
         encode(u, params, {"a": -2})  # cb takes no offset
 
     params = CodecParams("pb", 5, 7)
-    with pytest.raises(InvalidIndexError):
-        encode(u, params, {"a": 0})  # wrong count parity
+    with pytest.raises(InvalidIndexError, match="offset a=0 has the wrong count parity"):
+        encode(u, params, {"a": 0})
+    with pytest.raises(InvalidIndexError, match="offset a=1 is not a symbol of the order-5 alphabet"):
+        encode(u, params, {"a": 1})
     with pytest.raises(InvalidIndexError):
         encode(u, params, {"a": -2, "z": 5})
 
@@ -684,6 +687,6 @@ def test_malformed_codewords_raise_decode_error(kind, q, k):
 
 
 def test_symbol_caches_are_bounded():
-    tables = (_rotation, _negation, _signs, _mirror, _side_mask)
+    tables = (_rotation, _shifted, _tallies, _mirror, _side_mask, _indices)
     for cached in (symbols, sub_alphabet, _symbol_set, *tables):
         assert isinstance(cached.cache_info().maxsize, int)

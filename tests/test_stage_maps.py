@@ -12,12 +12,13 @@ at 2048, each default index search must pick the index that a per-symbol
 scan picks.
 """
 
+import operator
 import random
 from collections import Counter
 
 import pytest
 
-from balancedq.alphabet import is_cpb, sub_alphabet, symbols
+from balancedq.alphabet import _sign, is_cpb, sub_alphabet, symbols
 from balancedq.codebook import CbSide, CpbSide, KnuthSide, PbSide, SbSide
 from balancedq.codecs import (
     CodecParams,
@@ -27,14 +28,16 @@ from balancedq.codecs import (
     _gather,
     _map_cut,
     _mirror,
-    _negation,
-    _offset,
+    _pb_stage,
+    _pb_unstage,
     _rotation,
     _sb_round,
     _sb_round_stats,
+    _shifted,
     _side,
     _side_mask,
-    _signs,
+    _tallies,
+    _tally,
     balancing_sequence,
     decode,
     encode,
@@ -124,24 +127,98 @@ def every_symbol_word(q, copies=2, seed=0):
 # every stage on every symbol, window, shift and cut
 
 
+def ref_digits(digits, b):
+    """The int whose base-2**b digits, lowest first, are digits; the last
+    may be negative."""
+    return sum(digit * 2 ** (b * i) for i, digit in enumerate(digits))
+
+
+def ref_tally(word):
+    """(charge, absolute sum, positive count, negative count) of word."""
+    return (
+        sum(word),
+        sum(abs(x) for x in word),
+        sum(1 for x in word if x > 0),
+        sum(1 for x in word if x < 0),
+    )
+
+
 @pytest.mark.parametrize("q", [*ORDERS, 1001])
 def test_every_table_slot_matches_the_reference(q):
     """Each symbol's slot holds its image, and no other slot holds one; at
-    q=2 the one negative symbol, -1, reads the last slot."""
+    q=2 the one negative symbol, -1, reads the last slot.  Negation and the
+    signs are the offset-0 tables of the composed builder."""
     syms = symbols(q)
     tables = {
-        "negation": (_negation(q), lambda s: ref_flip((s,), 1)[0]),
+        "negation": (_shifted(q, 0, operator.neg), lambda s: ref_flip((s,), 1)[0]),
         "mirror": (_mirror(q), lambda s: ref_mirror((s,), q)[0]),
-        "signs": (_signs(q), lambda s: (s > 0) - (s < 0)),
+        "signs": (_shifted(q, 0, _sign), lambda s: (s > 0) - (s < 0)),
         "+": (_side_mask(q, "+"), lambda s: s > 0),
         "-": (_side_mask(q, "-"), lambda s: s < 0),
     }
     for d in range(-2 * q, 2 * q + 1, 2 if q < 10 else 500):
         tables[d] = (_rotation(q, -q + 1, 2 * q, d), lambda s, d=d: ref_offset((s,), q, d)[0])
+        tables["flip", d] = (
+            _shifted(q, d, operator.neg),
+            lambda s, d=d: ref_flip(ref_offset((s,), q, d), 1)[0],
+        )
+        tables["sign", d] = (
+            _shifted(q, d, _sign),
+            lambda s, d=d: (ref_offset((s,), q, d)[0] > 0) - (ref_offset((s,), q, d)[0] < 0),
+        )
+    for k in (1, 2, 1024, 2048):
+        b = (k * (q - 1)).bit_length()
+        tables["tallies", b] = (_tallies(q, b), lambda s, b=b: ref_digits((s < 0, s > 0, abs(s), s), b))
     for name, (table, ref) in tables.items():
         assert len(table) == 2 * q, name  # so a negative s reads slot 2q + s
         assert [table[s] for s in syms] == [ref(s) for s in syms], name
         assert sum(x is not None for x in table) == q, name
+
+
+def tally_words(q, k):
+    """Words of one repeated extreme symbol, the two extremes alternating,
+    and a random word."""
+    low, high = symbols(q)[0], symbols(q)[-1]
+    rng = random.Random(f"tally:{q}:{k}")
+    return [(low,) * k, (high,) * k, ((low, high) * k)[:k], tuple(rng.choices(symbols(q), k=k))]
+
+
+def test_tally_at_the_digit_width_edges():
+    """The packed sum gives the four totals exactly when k*(q-1), the bound
+    on its low digits, sits one below, at or one above a power of two."""
+    edges = set()
+    for q in [*ORDERS, 1001]:
+        for m in (3, 6, 11, 12):
+            for bound in (2**m - 1, 2**m, 2**m + 1):
+                if bound % (q - 1) == 0:
+                    edges.add(bound - 2**m)
+                    for word in tally_words(q, bound // (q - 1)):
+                        assert _tally(word, q) == ref_tally(word), (q, len(word))
+    assert edges == {-1, 0, 1}
+
+
+def test_tally_past_63_bits():
+    """At q=1001 and k=2048 the packed sum is a big int and still exact."""
+    q, k = 1001, 2048
+    b = (k * (q - 1)).bit_length()
+    for word in tally_words(q, k):
+        if sum(word):  # the charge digit starts at bit 3b = 63
+            assert abs(sum(_tallies(q, b)[x] for x in word)).bit_length() > 63
+        assert _tally(word, q) == ref_tally(word)
+
+
+@pytest.mark.parametrize("q", [q for q in ORDERS if q % 2])
+def test_offset_flip_is_one_map(q):
+    """The pb stage's offset by -a and flip of the first z symbols, and its
+    inverse, match ref_offset followed by ref_flip for every offset symbol."""
+    y = every_symbol_word(q)  # polarity-balanced, so every a has the right parity
+    k = len(y)
+    for a in symbols(q):
+        for z in (0, 1, k - 1):
+            u = ref_offset(ref_flip(y, z), q, a)
+            assert ref_flip(ref_offset(u, q, -a), z) == y
+            assert _pb_stage(u, q, k, a, z) == (y, a, z), (a, z)
+            assert _pb_unstage(y, q, z, a) == u, (a, z)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 1001])
@@ -154,13 +231,13 @@ def test_short_segments_and_edge_cuts(q):
     for s in (syms[0], syms[-1]):
         assert _gather(table, (s,)) == ref_offset((s,), q, 2)
         assert _gather(table, [s]) == ref_offset((s,), q, 2)
-    first, rest = _negation(q), _mirror(q)
+    first, rest = _shifted(q, 0, operator.neg), _mirror(q)
     for word in ((), (syms[0],), (syms[-1],), every_symbol_word(q, 1)[:5]):
         for cut in range(len(word) + 1):  # 0 and len(word) among them
             want = ref_flip(word[:cut], cut) + ref_mirror(word[cut:], q)
             assert _map_cut(word, cut, first, rest) == want, (word, cut)
             assert _flip(word, q, cut) == ref_flip(word, cut), (word, cut)
-        assert _offset(word, q, 2) == ref_offset(word, q, 2)
+        assert _gather(table, word) == ref_offset(word, q, 2)
         for nu in "+-":
             assert _side(word, q, nu) == ref_side(word, q, nu)
     # a one-symbol sequence window cuts at 0 or 1
@@ -211,7 +288,7 @@ def test_codewords_at_the_smallest_and_a_wide_alphabet(kind, q):
 def test_offset_matches_reduce_full(q):
     word = symbols(q)
     for d in range(-2 * q, 2 * q + 1, 2):
-        assert _offset(word, q, d) == ref_offset(word, q, d), d
+        assert _gather(_rotation(q, -q + 1, 2 * q, d), word) == ref_offset(word, q, d), d
 
 
 @pytest.mark.parametrize("q", ORDERS)
