@@ -180,7 +180,7 @@ class Alphabet(_Record):
 
     def __init__(self, q: int) -> None:
         _check_q(q)
-        super().__init__(q)
+        object.__setattr__(self, "q", q)
 
     @property
     def symbols(self) -> Word:

@@ -29,94 +29,81 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from .alphabet import Word, sub_alphabet, symbols, validate_word
 from .counting import _check_nq, charge_count, exact_count, joint_count, polarity_count
-from .errors import CapacityError, InfeasibleParamsError, InvalidIndexError, check_kind
+from .errors import CapacityError, InfeasibleParamsError, InvalidIndexError, _Record, check_kind
 
 #: Longest word cb, pb and cpb rank/unrank take; it bounds the counts behind a row.
 RETAINED_MAX = 160
 
 
-@dataclass(frozen=True)
-class KnuthSide:
+class KnuthSide(_Record):
     """Bipolar construction (pb at q=2) side info: the inversion point z."""
 
-    z: int
+    __slots__ = ("z",)
 
 
-@dataclass(frozen=True)
-class PbSide:
+class PbSide(_Record):
     """Polarity construction side info: inversion point z and, for odd q,
-    the offset symbol a subtracted before balancing."""
+    the offset symbol a subtracted before balancing (None at even q)."""
 
-    z: int
-    a: Union[int, None] = None
+    __slots__ = ("z", "a")
+    _defaults = (None,)
 
 
-@dataclass(frozen=True)
-class CbSide:
+class CbSide(_Record):
     """Charge construction side info: index z of the balancing sequence."""
 
-    z: int
+    __slots__ = ("z",)
 
 
-@dataclass(frozen=True)
-class CpbSide:
+class CpbSide(_Record):
     """Joint construction side info.
 
-    z and a come from the polarity stage; xi flags the mirror of the
-    positive values; nu names the side ('+' or '-') whose values absorbed
-    the balancing sequence number w.
+    z and a come from the polarity stage (a is None at even q); xi flags
+    the mirror of the positive values; nu names the side ('+' or '-') whose
+    values absorbed the balancing sequence number w.
     """
 
-    z: int
-    xi: int
-    nu: str
-    w: int
-    a: Union[int, None] = None
+    __slots__ = ("z", "xi", "nu", "w", "a")
+    _defaults = (None,)
 
 
-@dataclass(frozen=True)
-class SbSide:
+class SbSide(_Record):
     """Symbol construction side info: one (i, m, M) triple per round.
 
     i is the split position in 0..k, m and M are the least and most
     frequent symbols of the round's sub-alphabet.
     """
 
-    rounds: Tuple[Tuple[int, int, int], ...]
+    __slots__ = ("rounds",)
 
 
 SideInfo = Union[KnuthSide, PbSide, CbSide, CpbSide, SbSide]
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(_Record):
     """One side-info field: values is what a packed digit indexes, a tuple of
     flags or a function of (q, k, round); a field that q lacks has the one
     value None.  arg is the encoder keyword that pins the field ('' for its
-    own name, None for a field that is only reported)."""
+    own name, the default, or None for a field that is only reported)."""
 
-    name: str
-    values: Union[Tuple[str, ...], Callable[[int, int, Optional[int]], Sequence]]
-    arg: Optional[str] = ""
+    __slots__ = ("name", "values", "arg")
+    _defaults = ("",)
 
 
-@dataclass(frozen=True)
-class Spec:
-    """Side-info layout of one construction, fields most significant first.
-    rounds, when set, gives the round numbers for q: the fields form a group
-    repeated per round, kept as one tuple per round in the side's rounds."""
+class Spec(_Record):
+    """Side-info layout of one construction: side class, balance kind and
+    fields, most significant first.  rounds (None by default), when set,
+    gives the round numbers for q: the fields form a group repeated per
+    round, kept as one tuple per round in the side's rounds."""
 
-    side: type
-    balance: str
-    fields: Tuple[Field, ...]
-    rounds: Optional[Callable[[int], Sequence[int]]] = None
+    __slots__ = ("side", "balance", "fields", "rounds")
+    _defaults = (None,)
 
     def items(self, side: SideInfo) -> list:
         """The side info's field values in digit order, round by round."""
@@ -211,26 +198,21 @@ def _check_construction_params(kind: str, q: int, k: int) -> str:
     return kind
 
 
-@dataclass(frozen=True)
-class PrefixPlan:
+class PrefixPlan(_Record):
     """Fixed prefix layout for one (construction, q, k) triple.
 
     space is the side-info count P; unbalanced_length is log_q(P), the
     length an unconstrained prefix would need; length is the smallest
     feasible balanced-prefix length p with exact_count(kind, p, q) >= P.
-    spec and balance are the construction's Spec and balance kind; digits
-    holds the (field, values) of each packed digit, most significant first.
+    spec is the construction's Spec; digits holds the (field, values) of
+    each packed digit, most significant first.
     """
 
-    kind: str
-    q: int
-    k: int
-    space: int
-    unbalanced_length: float
-    length: int
-    spec: Spec = field(compare=False, repr=False)
-    balance: str = field(compare=False, repr=False)
-    digits: Tuple[Tuple[Field, Sequence], ...] = field(compare=False, repr=False)
+    __slots__ = ("kind", "q", "k", "space", "unbalanced_length", "length", "spec", "digits")
+
+    def _fields(self) -> tuple:
+        # spec and digits follow from these, and the digits of a large q are long
+        return self.kind, self.q, self.k, self.space, self.unbalanced_length, self.length
 
 
 # typed, so that True or 7.0 misses the entry of 1 or 7 and meets the check
@@ -248,7 +230,7 @@ def _plan(kind: str, q: int, k: int) -> PrefixPlan:
     while exact_count(spec.balance, p, q) < space:
         p += 1
     unbalanced_length = math.log(space) / math.log(q)
-    return PrefixPlan(kind, q, k, space, unbalanced_length, p, spec, spec.balance, digits)
+    return PrefixPlan(kind, q, k, space, unbalanced_length, p, spec, digits)
 
 
 def plan(kind: str, q: int, k: int) -> PrefixPlan:
@@ -419,7 +401,7 @@ def _unrank(index: int, n: int, kind: str, q: int) -> Word:
 def encode_prefix(side: SideInfo, prefix_plan: PrefixPlan) -> Word:
     """Spell side info as a balanced word of the planned prefix length."""
     value = _pack(side, prefix_plan)
-    return _unrank(value, prefix_plan.length, prefix_plan.balance, prefix_plan.q)
+    return _unrank(value, prefix_plan.length, prefix_plan.spec.balance, prefix_plan.q)
 
 
 def decode_prefix(word: Sequence[int], prefix_plan: PrefixPlan) -> SideInfo:
@@ -429,5 +411,5 @@ def decode_prefix(word: Sequence[int], prefix_plan: PrefixPlan) -> SideInfo:
         raise InvalidIndexError(
             f"prefix length {len(w)} does not match plan length {prefix_plan.length}"
         )
-    value = _rank(validate_word(w, prefix_plan.q), prefix_plan.balance, prefix_plan.q)
+    value = _rank(validate_word(w, prefix_plan.q), prefix_plan.spec.balance, prefix_plan.q)
     return _unpack(value, prefix_plan)

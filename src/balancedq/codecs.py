@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter
@@ -74,6 +73,7 @@ from .errors import (
     DecodeError,
     InfeasibleParamsError,
     InvalidIndexError,
+    _Record,
 )
 
 class CodecParams:
@@ -105,12 +105,10 @@ def _shared_params(kind: str, q: int, k: int) -> CodecParams:
     return params
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(_Record):
     """A balanced prefix followed by the balanced payload."""
 
-    prefix: Word
-    payload: Word
+    __slots__ = ("prefix", "payload")
 
     @property
     def word(self) -> Word:
@@ -612,7 +610,7 @@ def _checked_prefix(cw: Codeword, params: CodecParams, kind: str) -> SideInfo:
         side = decode_prefix(cw.prefix, params.plan)  # rank validates the prefix
     except (AlphabetError, InvalidIndexError, TypeError) as exc:
         raise DecodeError(str(exc)) from exc
-    balance = params.plan.balance
+    balance = params.plan.spec.balance
     if not PREDICATES[balance](payload, params.q):
         raise DecodeError(f"payload is not {balance}-balanced")
     return side

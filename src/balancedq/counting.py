@@ -392,8 +392,12 @@ _COUNTERS = {"sb": count_sb, "cb": count_cb, "pb": count_pb, "cpb": count_cpb}
 
 
 def exact_count(kind: str, n: int, q: int) -> int:
-    """Dispatch to the exact counter for kind in {'sb','cb','pb','cpb'}."""
-    return _COUNTERS[check_kind(kind)](n, q)
+    """Dispatch to the exact counter for kind in {'sb','cb','pb','cpb'}; a
+    count with a binomial past what math.comb takes raises CapacityError."""
+    try:
+        return _COUNTERS[check_kind(kind)](n, q)
+    except OverflowError as exc:
+        raise CapacityError(f"the exact {kind} count at n={n}, q={q} is too large to compute") from exc
 
 
 def exact_redundancy(kind: str, n: int, q: int) -> float:

@@ -61,27 +61,36 @@ def _check_q(q: int) -> None:
 class _Record:
     """A frozen record whose __slots__ name its fields, in order.
 
-    It gives what a frozen dataclass would, without loading dataclasses:
-    the field-order constructor, the repr, equality and hash by type and
-    fields, AttributeError on assignment and deletion, and pickling and
-    copying through __reduce__.
+    It gives what a frozen dataclass would, without loading dataclasses.
+    The one constructor path is an __init__ generated per subclass, as
+    dataclasses does: it takes the fields in slot order, positionally or by
+    keyword, and _defaults gives the values of the trailing ones.  A
+    subclass that defines __init__ keeps it and sets its slots itself.  The
+    repr, equality and hash go by type and _fields, assignment and deletion
+    raise AttributeError, and pickling and copying go through __reduce__.
     """
 
     __slots__ = ()
+    _defaults: tuple = ()
 
-    def __init__(self, *args, **kwargs) -> None:
-        names = self.__slots__
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
+    def __init_subclass__(cls) -> None:
+        if "__init__" in vars(cls):
+            return
+        names = cls.__slots__
+        # the generated code sets each field x through its slot's setter _x
+        namespace = {f"_{name}": getattr(cls, name).__set__ for name in names}
+        body = "".join(f"\n _{name}(self, {name})" for name in names)
+        exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__defaults__ = cls._defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _fields(self) -> tuple:
+        """The values the repr, equality and hash read; a subclass may keep fewer."""
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
@@ -99,4 +108,4 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)

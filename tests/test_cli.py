@@ -243,6 +243,28 @@ def test_count_approx_overflow_prints_inf(capsys):
     assert code == 0 and json.loads(out)["value"] == float("inf")
 
 
+#: a length whose exact counts take a binomial past what math.comb takes
+HUGE = "100000000000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--kind", "cb", "--q", "5", "--n", HUGE],
+        ["redundancy", "--kind", "cb", "--q", "5", "--n", HUGE],
+        ["sweep", "--kind", "cb", "--q", "5", "--start", HUGE, "--stop", HUGE],
+        ["count", "--kind", "cpb", "--q", "4", "--n", "99999999999999999999999998"],
+    ],
+    ids=["count", "redundancy", "sweep", "count-cpb"],
+)
+def test_exact_count_past_comb_exits_2(capsys, argv):
+    # a capacity error about the exact count, not the approximation's inf
+    kind, q, n = argv[2], argv[4], argv[-1]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"balancedq: the exact {kind} count at n={n}, q={q} is too large to compute\n"
+
+
 #: Python's digit limit on int-to-text conversion (None before 3.10.7)
 digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
 

@@ -153,6 +153,17 @@ def test_census_length_cap():
         joint_census(CENSUS_MAX_LENGTH + 1, 3)
 
 
+def test_exact_count_past_comb_is_a_capacity_error():
+    # a binomial of the count is past what math.comb takes: no OverflowError,
+    # which the CLI would read as the approximation's
+    with pytest.raises(CapacityError, match="exact cb count"):
+        exact_count("cb", 10**26, 5)
+    with pytest.raises(CapacityError, match="exact cpb count"):
+        exact_redundancy("cpb", 10**26 - 2, 4)
+    # a parity that admits no balanced word still counts 0
+    assert exact_count("cpb", 10**26 - 1, 4) == exact_count("pb", 10**26 - 1, 4) == 0
+
+
 def test_charge_count_beyond_retained_window():
     # q=2 charge balance is a plain central binomial, any length
     n = 200

@@ -201,6 +201,11 @@ def test_count_commands_do_not_load_fractions():
 
 
 def test_counting_commands_do_not_load_dataclasses():
-    # count, redundancy, sweep, table1 and table2 build their records without it
-    codes, loaded = loaded_by(COUNTING_COMMANDS, {"dataclasses", "inspect"})
-    assert codes == [0] * len(COUNTING_COMMANDS) and loaded == []
+    # count, redundancy, sweep, table1 and table2 build their records without
+    # it, and so do encode and decode, with their side info and codewords
+    commands = COUNTING_COMMANDS + [
+        ["encode", "--kind", "cpb", "--q", "5", "--word=+4,+2,0,-2,-4,+4", "--emit-sideinfo"],
+        ["decode", "--kind", "cpb", "--q", "5", "--word=0,+4,-4,0,-2,+2|0,-2,-4,+4,+2,0"],
+    ]
+    codes, loaded = loaded_by(commands, {"dataclasses", "inspect"})
+    assert codes == [0] * len(commands) and loaded == []
