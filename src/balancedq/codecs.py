@@ -14,23 +14,47 @@ bipolar case:
 - sb:    q-1 rounds; round v fixes the count of the round's lowest symbol
          at k/q by rotating a split of the sub-alphabet positions.
 
-Every payload stage gathers the word's images from cached symbol tables,
-with at most one cut: the flip at z, the pb offset, the cpb mirror, an sb
-round at its split, a balancing sequence at its g-th position.  A table is
-a tuple of 2q slots indexed by the symbol itself, a negative symbol s
-reading slot 2q + s, and one itemgetter call applies it to a whole segment
-in C.  A gather is exact only on a word of the alphabet, so the tables are
-read only after the codec has validated its input.  At odd q the pb offset
-and flip are one map, the flip composed with the offset before the cut.
-Each statistic is one gather and one sum too: the pb search and predicate
-sum signs, at odd q read through the offset, and cpb's flags and predicate
-sum a packed table whose slot holds a symbol's charge, absolute value and
-positive and negative flags as the base-2**b digits of one int; with
-2**b > k*(q-1) no digit of the sum carries into the next.  cb and cpb share
-one sequence transform and one sliding index search, which makes one pass
-per block of sequences, every symbol stepping by 2 save the one that wraps
+Every payload stage maps the word through cached symbol tables, with at
+most one cut: the flip at z, the pb offset, the cpb mirror, an sb round at
+its split, a balancing sequence at its g-th position.  A table is read only
+after the codec has validated its input, since a map is exact only on a
+word of the alphabet.  At odd q the pb offset and flip are one map, the
+flip composed with the offset before the cut.  cb and cpb share one
+sequence transform and one sliding index search, which makes one pass per
+block of sequences, every symbol stepping by 2 save the one that wraps
 round the window; they differ in the positions the sequence covers and in
 the sub-alphabet window it rotates.
+
+The stages run on one of two word forms.  One rule, _form, picks it from
+(q, k) alone, and CodecParams keeps it:
+
+- packed bytes, for a word of more than 64 symbols (sb's short-word bound)
+  over an alphabet of q <= 128, whose symbols all fit a signed byte.  A
+  cached Struct packs the validated word once, each symbol s as its code
+  s & 0xFF.  A table is a bytes.translate table of 256 slots indexed by the
+  code, cached under the tuple table's key, and each map costs a few
+  microseconds where a gather costs tens.  Every statistic reads
+  bytes.count of the codes: the pb offset, the pb, cb, cpb and sb
+  predicates, cpb's flags (the count of each symbol times its packed
+  tally, below), sb's round counts and its settle check.  Each
+  index search unpacks the translated signs or split weights once; the cb
+  search, and the pb search at q=2, whose symbols are their own signs,
+  read the validated tuple, and the cpb search reads the side's symbols,
+  which translate with the other codes deleted leaves.  The g-th side
+  position, a cut, bisects the side mask's running count.  The payload is
+  unpacked once at the end.  Packing and unpacking cost about as much as
+  two gathers, so a word of 64 symbols or fewer is faster as a tuple.
+- tuples, for every other word: a table is a tuple of 2q slots indexed by
+  the symbol itself, a negative symbol s reading slot 2q + s, and one
+  itemgetter call gathers a whole segment in C.  Each statistic is one
+  gather and one sum: the pb search and predicate sum signs, at odd q read
+  through the offset, and cpb's flags and predicate sum a packed table
+  whose slot holds a symbol's charge, absolute value and positive and
+  negative flags as the base-2**b digits of one int; with 2**b > k*(q-1)
+  no digit of the sum carries into the next.
+
+Both forms give the same codewords; the tests force the tuple form through
+_form and hold the packed one to it.
 
 Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
@@ -48,10 +72,13 @@ encoder's functions.
 from __future__ import annotations
 
 import operator
+from array import array
+from bisect import bisect_left
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter
+from struct import Struct
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .alphabet import Word, _sign, _symbol_set, is_cb, is_sb, sub_alphabet, symbols, validate_word
@@ -77,10 +104,11 @@ from .errors import (
 )
 
 class CodecParams:
-    """Validated (construction, q, k) triple with its prefix plan; equal
-    triples give one shared instance, so treat it as read-only."""
+    """Validated (construction, q, k) triple with its prefix plan and the
+    form its payload stages run on; equal triples give one shared instance,
+    so treat it as read-only."""
 
-    __slots__ = ("kind", "q", "k", "plan")
+    __slots__ = ("kind", "q", "k", "plan", "form")
 
     def __new__(cls, kind: str, q: int, k: int) -> CodecParams:
         return _shared_params(plan(kind, q, k).kind, q, k)  # plan checks the triple
@@ -102,6 +130,7 @@ class CodecParams:
 def _shared_params(kind: str, q: int, k: int) -> CodecParams:
     params = object.__new__(CodecParams)
     params.kind, params.q, params.k, params.plan = kind, q, k, plan(kind, q, k)
+    params.form = _form(q, k)
     return params
 
 
@@ -183,18 +212,162 @@ def _side_mask(q: int, nu: str) -> tuple:
     return _tabulate(q, lambda s: s > 0 if nu == "+" else s < 0)
 
 
-def _map_cut(word: Word, cut: int, first: tuple, rest: tuple) -> Word:
-    """word with the table first applied to word[:cut] and rest to the rest."""
-    return _gather(first, word[:cut]) + _gather(rest, word[cut:])
-
-
-def _tally(word: Word, q: int) -> Tuple[int, int, int, int]:
+def _tally(word: Word | bytes, q: int) -> Tuple[int, int, int, int]:
     """(charge, absolute sum, positive count, negative count) of a validated
-    word, from one gather and one sum."""
+    word, from one gather and one sum; a packed word's sum weights each
+    symbol's digits by its count."""
     b = (len(word) * (q - 1)).bit_length()  # the least b with 2**b > k*(q-1)
-    total = sum(_gather(_tallies(q, b), word))
+    if type(word) is bytes:
+        syms = symbols(q)
+        total = sum(map(operator.mul, _gather(_tallies(q, b), syms), _byte_counts(word, syms)))
+    else:
+        total = sum(_gather(_tallies(q, b), word))
     mask = (1 << b) - 1
     return total >> 3 * b, total >> 2 * b & mask, total >> b & mask, total & mask
+
+
+def _is_pb(word: Word, q: int) -> bool:
+    """is_pb of a validated word, its signs gathered from their table."""
+    return not sum(_gather(_shifted(q, 0, _sign), word))
+
+
+def _is_cpb(word: Word | bytes, q: int) -> bool:
+    """is_cpb of a validated word, from its tallies."""
+    charge, _, plus, minus = _tally(word, q)
+    return not charge and plus == minus
+
+
+# ---------------------------------------------------------------------------
+# word forms: the stages run on a tuple, or on a long word's signed bytes
+
+#: sb's short-word bound: up to this length a word keeps the tuple form, and
+#: sb's round statistics count one pass per symbol
+_SHORT_WORD = 64
+
+
+@lru_cache(maxsize=64)
+def _struct(k: int) -> Struct:
+    """The Struct of k signed bytes."""
+    return Struct(f"{k}b")
+
+
+@lru_cache(maxsize=1024)
+def _translation(tabled: Callable[..., tuple], q: int, *key) -> bytes:
+    """The tuple table tabled(q, *key) as a bytes.translate table: the slot
+    of a symbol's code s & 0xFF holds its image's code, every other slot 0."""
+    table = tabled(q, *key)
+    codes = chain(range(128), range(-128, 0))
+    return bytes(table[s] & 0xFF if -q < s < q and (s + q) % 2 else 0 for s in codes)
+
+
+@lru_cache(maxsize=1024)
+def _off_side(q: int, nu: str) -> bytes:
+    """The codes of the symbols off the nu side, which bytes.translate deletes."""
+    return bytes(s & 0xFF for s in symbols(q) if not (s > 0 if nu == "+" else s < 0))
+
+
+class _PackedSide:
+    """The positions of one side's symbols in a packed word, read off its
+    0/1 mask: len counts them and [g] bisects for the g-th, without a list."""
+
+    __slots__ = ("mask", "off", "size")
+
+    def __init__(self, mask: bytes, off: bytes) -> None:
+        self.mask, self.off, self.size = mask, off, mask.count(1)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, g: int) -> int:
+        # one before the shortest prefix that holds g + 1 of them
+        held = partial(self.mask.count, 1, 0)
+        return bisect_left(range(len(self.mask) + 1), g + 1, key=held) - 1
+
+
+class _Form(_Record):
+    """What the payload stages take from one word form: packing, the map
+    and its table builders, a symbol's count, the symbols at some positions,
+    and the payload predicates for a validated word.  For the tuple form
+    these are the functions its stages call anyway, and pack and unpack
+    are tuple, which hands a tuple back as it is."""
+
+    __slots__ = (
+        "pack", "unpack", "gather", "rotation", "shifted", "mirror", "count", "at", "balanced"
+    )
+
+
+#: The tuple form: a word is a tuple of ints and a table a tuple of 2q
+#: slots, applied by _gather.  The only form of short words and of q > 128,
+#: and the reference of the packed one.
+_TUPLES = _Form(
+    pack=tuple,
+    unpack=tuple,
+    gather=_gather,
+    rotation=_rotation,
+    shifted=_shifted,
+    mirror=_mirror,
+    count=tuple.count,
+    at=_gather,
+    balanced={"sb": is_sb, "cb": is_cb, "pb": _is_pb, "cpb": _is_cpb},
+)
+
+
+def _byte_counts(word: bytes, syms: Sequence[int]) -> list:
+    """The copies of each of syms in a packed word."""
+    return [word.count(s & 0xFF) for s in syms]
+
+
+def _byte_at(word: bytes, positions: _PackedSide) -> list:
+    """The symbols of a packed word on the side of positions, as ints."""
+    return array("b", word.translate(None, positions.off)).tolist()
+
+
+def _byte_is_cb(word: bytes, q: int) -> bool:
+    """is_cb of a packed word, from the count of each symbol's code."""
+    syms = symbols(q)
+    return not sum(map(operator.mul, syms, _byte_counts(word, syms)))
+
+
+def _byte_is_pb(word: bytes, q: int) -> bool:
+    """is_pb of a packed word, from the counts of its signs' codes."""
+    signs = word.translate(_translation(_shifted, q, 0, _sign))
+    return signs.count(1) == signs.count(0xFF)
+
+
+#: The packed form: a word is the bytes of its symbols' codes s & 0xFF,
+#: packed once by a cached Struct, and a table a bytes.translate table of
+#: 256 slots, built from the tuple table of the same key.
+_BYTES = _Form(
+    pack=lambda word: _struct(len(word)).pack(*word),
+    unpack=lambda word: _struct(len(word)).unpack(word),
+    gather=lambda table, word: word.translate(table),
+    rotation=partial(_translation, _rotation),
+    shifted=partial(_translation, _shifted),
+    mirror=partial(_translation, _mirror),
+    count=lambda word, s: word.count(s & 0xFF),
+    at=_byte_at,
+    balanced={
+        "sb": lambda word, q: all(c * q == len(word) for c in _byte_counts(word, symbols(q))),
+        "cb": _byte_is_cb,
+        "pb": _byte_is_pb,
+        "cpb": _is_cpb,
+    },
+)
+
+
+def _form(q: int, k: int) -> _Form:
+    """The one rule that picks the form of a length-k word of the order-q
+    alphabet: packed bytes when every symbol fits a signed byte (q <= 128)
+    and the word is long enough for the packing to pay (more than
+    _SHORT_WORD symbols), else the tuple."""
+    return _BYTES if q <= 128 and k > _SHORT_WORD else _TUPLES
+
+
+def _map_cut(
+    word: Word | bytes, cut: int, first: tuple | bytes, rest: tuple | bytes, form: _Form = _TUPLES
+) -> Word | bytes:
+    """word with the table first applied to word[:cut] and rest to the rest."""
+    return form.gather(first, word[:cut]) + form.gather(rest, word[cut:])
 
 
 def balancing_sequence(i: int, length: int, radix: int) -> Word:
@@ -220,21 +393,23 @@ def balancing_sequence(i: int, length: int, radix: int) -> Word:
 # polarity balancing, and the bipolar case q = 2
 
 
-def _flip(u: Word, q: int, z: int) -> Word:
+def _flip(u: Word | bytes, q: int, z: int, form: _Form = _TUPLES) -> Word | bytes:
     """u with the polarity of its first z symbols inverted."""
-    return _gather(_shifted(q, 0, operator.neg), u[:z]) + u[z:]
+    return form.gather(form.shifted(q, 0, operator.neg), u[:z]) + u[z:]
 
 
 def find_pb_offset(u: Sequence[int], q: int) -> int:
     """Smallest symbol a whose count in u has the parity of k (odd q only).
 
     Subtracting such an a leaves an even number of nonzero symbols, which
-    the polarity inversion stage needs.
+    the polarity inversion stage needs.  u may be a packed word.
     """
-    u = tuple(u)
+    packed = type(u) is bytes
+    if not packed:
+        u = tuple(u)
     k = len(u)
     for a in symbols(q):
-        if u.count(a) % 2 == k % 2:
+        if u.count(a & 0xFF if packed else a) % 2 == k % 2:
             return a
     raise BalancingInvariantError("no feasible offset symbol found")
 
@@ -261,49 +436,51 @@ def find_knuth_index(u: Sequence[int]) -> int:
 
 
 def _pb_stage(
-    u: Word, q: int, k: int, a: Optional[int], z: Optional[int], goal: str = "polarity-balance"
-) -> Tuple[Word, Optional[int], int]:
-    """Shared offset-and-flip stage; returns (balanced word, a, z)."""
+    u: Word,
+    q: int,
+    k: int,
+    a: Optional[int],
+    z: Optional[int],
+    form: _Form = _TUPLES,
+    goal: str = "polarity-balance",
+) -> Tuple[Word | bytes, Optional[int], int]:
+    """Shared offset-and-flip stage of a validated word u, run on its given
+    form; returns (balanced word, a, z)."""
+    word = form.pack(u)
     if q % 2 == 0:
         if a is not None:
             raise InvalidIndexError("offset symbols only apply to odd q")
     elif a is None:
-        a = find_pb_offset(u, q)
+        a = find_pb_offset(word, q)
     elif a not in _symbol_set(q):
         raise InvalidIndexError(f"offset a={a} is not a symbol of the order-{q} alphabet")
-    elif u.count(a) % 2 != k % 2:
+    elif form.count(word, a) % 2 != k % 2:
         raise InvalidIndexError(f"offset a={a} has the wrong count parity")
     d = 0 if a is None else -a
     searched = z is None
-    if searched:
-        z = find_pb_index(u if q == 2 else _gather(_shifted(q, d, _sign), u), 2)
+    if searched:  # at q=2 the symbols are their own signs
+        signs = u if q == 2 else form.unpack(form.gather(form.shifted(q, d, _sign), word))
+        z = find_pb_index(signs, 2)
     if 0 <= z < k:
         if a is None:
-            y = _flip(u, q, z)
+            y = _flip(word, q, z, form)
         else:
-            y = _map_cut(u, z, _shifted(q, d, operator.neg), _rotation(q, -q + 1, 2 * q, d))
+            offset = form.rotation(q, -q + 1, 2 * q, d)
+            y = _map_cut(word, z, form.shifted(q, d, operator.neg), offset, form)
         # an injected z is checked on the word it builds
-        if searched or _is_pb(y, q):
+        if searched or form.balanced["pb"](y, q):
             return y, a, z
     raise InvalidIndexError(f"z={z} does not {goal} this word")
 
 
-def _is_pb(word: Word, q: int) -> bool:
-    """is_pb of a validated word, its signs gathered from their table."""
-    return not sum(_gather(_shifted(q, 0, _sign), word))
-
-
-def _is_cpb(word: Word, q: int) -> bool:
-    """is_cpb of a validated word, from its tallies."""
-    charge, _, plus, minus = _tally(word, q)
-    return not charge and plus == minus
-
-
-def _pb_unstage(word: Word, q: int, z: int, a: Optional[int]) -> Word:
+def _pb_unstage(
+    word: Word | bytes, q: int, z: int, a: Optional[int], form: _Form = _TUPLES
+) -> Word | bytes:
     """Inverse of _pb_stage, whose table before the cut is its own inverse."""
     if a is None:
-        return _flip(word, q, z)
-    return _map_cut(word, z, _shifted(q, -a, operator.neg), _rotation(q, -q + 1, 2 * q, a))
+        return _flip(word, q, z, form)
+    offset = form.rotation(q, -q + 1, 2 * q, a)
+    return _map_cut(word, z, form.shifted(q, -a, operator.neg), offset, form)
 
 
 def pb_encode(
@@ -313,14 +490,16 @@ def pb_encode(
     z: Optional[int] = None,
 ) -> Tuple[Codeword, PbSide]:
     u = _checked_payload(u, params, "pb")
-    balanced, a, z = _pb_stage(u, params.q, params.k, a, z)
+    form = params.form
+    balanced, a, z = _pb_stage(u, params.q, params.k, a, z, form)
     side = PbSide(z, a)
-    return Codeword(encode_prefix(side, params.plan), balanced), side
+    return Codeword(encode_prefix(side, params.plan), form.unpack(balanced)), side
 
 
 def pb_decode(cw: Codeword, params: CodecParams) -> Word:
-    side = _checked_prefix(cw, params, "pb")
-    return _pb_unstage(cw.payload, params.q, side.z, side.a)
+    form = params.form
+    side, payload = _checked_prefix(cw, params, "pb")
+    return form.unpack(_pb_unstage(payload, params.q, side.z, side.a, form))
 
 
 def knuth_encode(
@@ -328,15 +507,17 @@ def knuth_encode(
 ) -> Tuple[Codeword, KnuthSide]:
     """pb_encode at q=2, with its side info as KnuthSide."""
     u = _checked_payload(u, params, "knuth")
-    balanced, _, z = _pb_stage(u, 2, params.k, None, z, "balance")
+    form = params.form
+    balanced, _, z = _pb_stage(u, 2, params.k, None, z, form, "balance")
     side = KnuthSide(z)
-    return Codeword(encode_prefix(side, params.plan), balanced), side
+    return Codeword(encode_prefix(side, params.plan), form.unpack(balanced)), side
 
 
 def knuth_decode(cw: Codeword, params: CodecParams) -> Word:
     """pb_decode at q=2."""
-    side = _checked_prefix(cw, params, "knuth")
-    return _pb_unstage(cw.payload, 2, side.z, None)
+    form = params.form
+    side, payload = _checked_prefix(cw, params, "knuth")
+    return form.unpack(_pb_unstage(payload, 2, side.z, None, form))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +525,15 @@ def knuth_decode(cw: Codeword, params: CodecParams) -> Word:
 
 
 def _add_sequence(
-    word: Word, q: int, positions: Sequence[int], lo: int, mod: int, z: int, sign: int = 1
-) -> Word:
+    word: Word | bytes,
+    q: int,
+    positions: Sequence[int],
+    lo: int,
+    mod: int,
+    z: int,
+    sign: int = 1,
+    form: _Form = _TUPLES,
+) -> Word | bytes:
     """Add sign times balancing sequence z, spread over positions, to word.
 
     The positions hold exactly the word's symbols in the window lo, lo+2,
@@ -355,9 +543,9 @@ def _add_sequence(
         return word
     # sequence z adds 2j+2 on its first g positions and 2j on the rest
     j, g = divmod(z, len(positions))
-    first = _rotation(q, lo, mod, sign * (2 * j + 2))
-    rest = _rotation(q, lo, mod, sign * 2 * j)
-    return _map_cut(word, positions[g], first, rest)
+    first = form.rotation(q, lo, mod, sign * (2 * j + 2))
+    rest = form.rotation(q, lo, mod, sign * 2 * j)
+    return _map_cut(word, positions[g], first, rest, form)
 
 
 def _find_sequence(cur: Word, lo: int, mod: int, target: int) -> int:
@@ -387,31 +575,40 @@ def cb_encode(
 ) -> Tuple[Codeword, CbSide]:
     u = _checked_payload(u, params, "cb")
     q, k = params.q, params.k
+    form = params.form
     if z is None:
         z = find_cb_index(u, q)
-    payload = _add_sequence(u, q, range(k), -q + 1, 2 * q, z) if 0 <= z < q * k else None
-    if payload is None or not is_cb(payload, q):
+    payload = None
+    if 0 <= z < q * k:
+        payload = _add_sequence(form.pack(u), q, range(k), -q + 1, 2 * q, z, 1, form)
+    if payload is None or not form.balanced["cb"](payload, q):
         raise InvalidIndexError(f"z={z} does not charge-balance this word")
     side = CbSide(z)
-    return Codeword(encode_prefix(side, params.plan), payload), side
+    return Codeword(encode_prefix(side, params.plan), form.unpack(payload)), side
 
 
 def cb_decode(cw: Codeword, params: CodecParams) -> Word:
-    side = _checked_prefix(cw, params, "cb")
-    q = params.q
-    return _add_sequence(cw.payload, q, range(params.k), -q + 1, 2 * q, side.z, -1)
+    q, k = params.q, params.k
+    form = params.form
+    side, payload = _checked_prefix(cw, params, "cb")
+    return form.unpack(_add_sequence(payload, q, range(k), -q + 1, 2 * q, side.z, -1, form))
 
 
 # ---------------------------------------------------------------------------
 # joint charge and polarity balancing
 
 
-def _side(word: Word, q: int, nu: str) -> Tuple[list, int, int]:
+def _side(
+    word: Word | bytes, q: int, nu: str, form: _Form = _TUPLES
+) -> Tuple[Sequence[int], int, int]:
     """Positions of the nu side's symbols in word, and the lowest symbol and
     the modulus of that half-alphabet."""
-    on_side = _gather(_side_mask(q, nu), word)
     lo = 1 + q % 2 if nu == "+" else -q + 1
-    return list(compress(_indices(len(word)), on_side)), lo, 2 * (q // 2)
+    if form is _BYTES:
+        positions = _PackedSide(word.translate(_translation(_side_mask, q, nu)), _off_side(q, nu))
+    else:
+        positions = list(compress(_indices(len(word)), _gather(_side_mask(q, nu), word)))
+    return positions, lo, 2 * (q // 2)
 
 
 @lru_cache(maxsize=64)
@@ -421,7 +618,7 @@ def _indices(k: int) -> tuple:
     return tuple(range(k))
 
 
-def _cpb_flags(y: Word, q: int) -> Tuple[int, str, int]:
+def _cpb_flags(y: Word | bytes, q: int) -> Tuple[int, str, int]:
     """The mirror flag xi and the side nu that the joint construction derives
     from its polarity-balanced word y, and the sum that balances that side."""
     charge, abs_sum, k1, _ = _tally(y, q)
@@ -442,12 +639,13 @@ def _cpb_w_space(q: int, k1: int) -> int:
     return max((q // 2) * k1, 1)
 
 
-def find_cpb_index(word: Word, q: int, window: tuple, target: int) -> int:
+def find_cpb_index(word: Word | bytes, q: int, window: tuple, target: int) -> int:
     """Smallest w whose balancing sequence drives the sum of one side's
     symbols to target; window is that side's (positions, lo, mod), as _side
-    gives it."""
+    gives it for word, which may be packed."""
     positions, lo, mod = window
-    return _find_sequence(_gather(word, positions), lo, mod, target)
+    cur = _byte_at(word, positions) if type(word) is bytes else _gather(word, positions)
+    return _find_sequence(cur, lo, mod, target)
 
 
 def cpb_encode(
@@ -461,7 +659,8 @@ def cpb_encode(
 ) -> Tuple[Codeword, CpbSide]:
     u = _checked_payload(u, params, "cpb")
     q, k = params.q, params.k
-    y, a, z = _pb_stage(u, q, k, a, z)
+    form = params.form
+    y, a, z = _pb_stage(u, q, k, a, z, form)
     flags = _cpb_flags(y, q)
     # xi and nu are derived, not free; injected values must agree
     if xi is not None and xi != flags[0]:
@@ -470,44 +669,47 @@ def cpb_encode(
         raise InvalidIndexError(f"nu={nu!r} does not match the derived side {flags[1]!r}")
     xi, nu, target = flags
     if xi:
-        y = _gather(_mirror(q), y)
-    positions, lo, mod = window = _side(y, q, nu)
+        y = form.gather(form.mirror(q), y)
+    positions, lo, mod = window = _side(y, q, nu, form)
     w_space = _cpb_w_space(q, len(positions))
     if w is None:
         w = find_cpb_index(y, q, window, target)
     elif not 0 <= w < w_space:
         raise InvalidIndexError(f"w={w} outside 0..{w_space - 1}")
-    payload = _add_sequence(y, q, positions, lo, mod, w)
-    if sum(_gather(payload, positions)) != target:
+    payload = _add_sequence(y, q, positions, lo, mod, w, 1, form)
+    if sum(form.at(payload, positions)) != target:
         raise InvalidIndexError(f"w={w} does not balance the {nu} side")
     side = CpbSide(z, xi, nu, w, a)
-    return Codeword(encode_prefix(side, params.plan), payload), side
+    return Codeword(encode_prefix(side, params.plan), form.unpack(payload)), side
 
 
 def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
-    side = _checked_prefix(cw, params, "cpb")
     q = params.q
-    positions, lo, mod = _side(cw.payload, q, side.nu)
-    word = _add_sequence(cw.payload, q, positions, lo, mod, side.w, -1)
+    form = params.form
+    side, payload = _checked_prefix(cw, params, "cpb")
+    positions, lo, mod = _side(payload, q, side.nu, form)
+    word = _add_sequence(payload, q, positions, lo, mod, side.w, -1, form)
     if side.xi:
-        word = _gather(_mirror(q), word)
+        word = form.gather(form.mirror(q), word)
     # encode derives xi and nu from the word before the mirror
     if side.w >= _cpb_w_space(q, len(positions)) or _cpb_flags(word, q)[:2] != (side.xi, side.nu):
         raise DecodeError(f"side info {side} was not produced for this payload")
-    return _pb_unstage(word, q, side.z, side.a)
+    return form.unpack(_pb_unstage(word, q, side.z, side.a, form))
 
 
 # ---------------------------------------------------------------------------
 # symbol balancing
 
 
-def _sb_round_stats(word: Word, q: int, v: int) -> Tuple[int, int]:
+def _sb_round_stats(word: Word | bytes, q: int, v: int, form: _Form = _TUPLES) -> Tuple[int, int]:
     """(least, most) frequent symbols of round v's sub-alphabet; ties take
     the smallest symbol for the minimum and the largest for the maximum."""
     sub = sub_alphabet(q, v)
+    if form is _BYTES:
+        counts = _byte_counts(word, sub)
     # one C pass per symbol beats hashing every symbol once while the word
     # or the sub-alphabet is short
-    if len(word) <= 64 or len(sub) <= 3:
+    elif len(word) <= _SHORT_WORD or len(sub) <= 3:
         counts = list(map(word.count, sub))
     else:
         counts = list(map(Counter(word).get, sub, repeat(0)))
@@ -515,8 +717,15 @@ def _sb_round_stats(word: Word, q: int, v: int) -> Tuple[int, int]:
 
 
 def _sb_round(
-    word: Word, q: int, v: int, i_v: int, m_v: int, big_m: int, sign: int = 1
-) -> Word:
+    word: Word | bytes,
+    q: int,
+    v: int,
+    i_v: int,
+    m_v: int,
+    big_m: int,
+    sign: int = 1,
+    form: _Form = _TUPLES,
+) -> Word | bytes:
     """Round v of the symbol construction (sign=1), or its inverse (sign=-1).
 
     Sub-alphabet symbols before the split i_v rotate by lowest - m_v, the
@@ -524,19 +733,27 @@ def _sb_round(
     """
     sub = sub_alphabet(q, v)
     lo, mod = sub[0], 2 * len(sub)
-    first = _rotation(q, lo, mod, sign * (lo - m_v))
-    rest = _rotation(q, lo, mod, sign * (lo - big_m))
-    return _map_cut(word, i_v, first, rest)
+    first = form.rotation(q, lo, mod, sign * (lo - m_v))
+    rest = form.rotation(q, lo, mod, sign * (lo - big_m))
+    return _map_cut(word, i_v, first, rest, form)
 
 
-def find_sb_split(word: Word, q: int, v: int, m: int, m_v: int, big_m: int) -> int:
+def find_sb_split(word: Word | bytes, q: int, v: int, m: int, m_v: int, big_m: int) -> int:
     """Smallest split i_v in [0, k] that leaves exactly m copies of the
     round's lowest symbol after the rotation; m_v and big_m are the round's
-    least and most frequent symbols, as _sb_round_stats gives them."""
+    least and most frequent symbols, as _sb_round_stats gives them.  word
+    may be packed."""
     # split i moves the copies of m_v before i and of big_m from i on to
     # the lowest symbol; when the two are one symbol, no split moves a count
-    weight = {m_v: 1, big_m: -1} if m_v != big_m else {}
-    counts = accumulate(map(weight.get, word, repeat(0)), initial=word.count(big_m))
+    if type(word) is bytes:
+        weights = bytearray(256)
+        if m_v != big_m:
+            weights[m_v & 0xFF], weights[big_m & 0xFF] = 1, 0xFF
+        steps = _BYTES.unpack(word.translate(weights))
+        counts = accumulate(steps, initial=word.count(big_m & 0xFF))
+    else:
+        weight = {m_v: 1, big_m: -1} if m_v != big_m else {}
+        counts = accumulate(map(weight.get, word, repeat(0)), initial=word.count(big_m))
     try:
         return operator.indexOf(counts, m)
     except ValueError:
@@ -549,40 +766,42 @@ def sb_encode(
 ) -> Tuple[Codeword, SbSide]:
     u = _checked_payload(u, params, "sb")
     q, k = params.q, params.k
+    form = params.form
     m = k // q
     if splits is not None:
         splits = tuple(splits)
         if len(splits) != q - 1:
             raise InvalidIndexError(f"expected {q - 1} splits, got {len(splits)}")
-    word = u
+    word = form.pack(u)
     rounds = []
     for v in range(1, q):
-        m_v, big_m = _sb_round_stats(word, q, v)
+        m_v, big_m = _sb_round_stats(word, q, v, form)
         if splits is None:
             i_v = find_sb_split(word, q, v, m, m_v, big_m)
         else:
             i_v = splits[v - 1]
             if not 0 <= i_v <= k:
                 raise InvalidIndexError(f"round {v}: split {i_v} outside 0..{k}")
-        word = _sb_round(word, q, v, i_v, m_v, big_m)
+        word = _sb_round(word, q, v, i_v, m_v, big_m, 1, form)
         lowest = sub_alphabet(q, v)[0]
-        if word.count(lowest) != m:
+        if form.count(word, lowest) != m:
             raise InvalidIndexError(f"round {v}: split {i_v} does not settle symbol {lowest}")
         rounds.append((i_v, m_v, big_m))
     side = SbSide(tuple(rounds))
-    return Codeword(encode_prefix(side, params.plan), word), side
+    return Codeword(encode_prefix(side, params.plan), form.unpack(word)), side
 
 
 def sb_decode(cw: Codeword, params: CodecParams) -> Word:
-    side = _checked_prefix(cw, params, "sb")
-    q, word = params.q, cw.payload
+    q = params.q
+    form = params.form
+    side, word = _checked_prefix(cw, params, "sb")
     for v in range(q - 1, 0, -1):
         i_v, m_v, big_m = side.rounds[v - 1]
-        word = _sb_round(word, q, v, i_v, m_v, big_m, -1)
+        word = _sb_round(word, q, v, i_v, m_v, big_m, -1, form)
         # the encoder derives each round's (m, M) from the word it rotates
-        if _sb_round_stats(word, q, v) != (m_v, big_m):
+        if _sb_round_stats(word, q, v, form) != (m_v, big_m):
             raise DecodeError(f"round {v} of side info {side} was not produced for this payload")
-    return word
+    return form.unpack(word)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +817,12 @@ def _checked_payload(u: Sequence[int], params: CodecParams, kind: str) -> Word:
     return u
 
 
-def _checked_prefix(cw: Codeword, params: CodecParams, kind: str) -> SideInfo:
+def _checked_prefix(
+    cw: Codeword, params: CodecParams, kind: str
+) -> Tuple[SideInfo, Word | bytes]:
     """The side info of a codeword whose prefix and payload are both
-    balanced as the construction requires; raises DecodeError otherwise."""
+    balanced as the construction requires, and the payload in the params'
+    form; raises DecodeError otherwise."""
     if params.kind != kind:
         raise InfeasibleParamsError(f"params are for {params.kind!r}, not {kind!r}")
     try:
@@ -611,13 +833,12 @@ def _checked_prefix(cw: Codeword, params: CodecParams, kind: str) -> SideInfo:
     except (AlphabetError, InvalidIndexError, TypeError) as exc:
         raise DecodeError(str(exc)) from exc
     balance = params.plan.spec.balance
-    if not PREDICATES[balance](payload, params.q):
+    form = params.form
+    payload = form.pack(payload)
+    if not form.balanced[balance](payload, params.q):
         raise DecodeError(f"payload is not {balance}-balanced")
-    return side
+    return side, payload
 
-
-# the payload predicates, for a word the codec has validated
-PREDICATES = {"sb": is_sb, "cb": is_cb, "pb": _is_pb, "cpb": _is_cpb}
 
 _CODECS = {
     "knuth": (knuth_encode, knuth_decode),

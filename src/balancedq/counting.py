@@ -69,6 +69,16 @@ def _check_sum(name: str, value: int) -> None:
         raise InfeasibleParamsError(f"{name} must be an int, got {value!r}")
 
 
+def _comb(n: int, k: int) -> int:
+    """math.comb(n, k), which refuses k and n - k both past a machine word;
+    a count that needs such a binomial raises CapacityError."""
+    try:
+        return math.comb(n, k)
+    except OverflowError:
+        message = f"an exact count needs C({n}, {k}), which is too large to compute"
+        raise CapacityError(message) from None
+
+
 def _charge_step(prev: Tuple[int, ...], q: int) -> Tuple[int, ...]:
     """Next charge table: each entry is a window sum of q entries of prev.
 
@@ -97,7 +107,7 @@ def _charge_coefficient(n: int, q: int, m: int) -> int:
     k = n - 1
     j = m // q
     r = m - q * j
-    pick = math.comb(n, j)  # C(n, j)
+    pick = _comb(n, j)  # C(n, j)
     tail = math.comb(r + k, k)  # C(r + k, k)
     total = 0
     while True:
@@ -140,10 +150,10 @@ def polarity_count(n: int, q: int, polarity: int = 0) -> int:
         return 0
     h = q // 2
     if q % 2 == 0:
-        return 0 if (n + p) % 2 else math.comb(n, (n + p) // 2) * h**n
+        return 0 if (n + p) % 2 else _comb(n, (n + p) // 2) * h**n
     # terms from jp = p upwards; each step moves two zeros to one +, one -
     jm, z = 0, n - p
-    term = math.comb(n, p) * h**p
+    term = _comb(n, p) * h**p
     total = term
     while z >= 2:
         term = term * z * (z - 1) * h * h // ((jm + p + 1) * (jm + 1))
@@ -266,7 +276,7 @@ def joint_count(n: int, q: int, charge: int = 0, polarity: int = 0) -> int:
     # each step moves two zeros to one +, one -
     jp, jm = max(polarity, 0), max(-polarity, 0)
     z = n - jp - jm
-    pick = math.comb(n, z)  # n!/(jp! jm! z!)
+    pick = _comb(n, z)  # n!/(jp! jm! z!)
     total = 0
     while z >= 0:
         if odd or z == 0:  # even q has no zero symbol
@@ -285,7 +295,10 @@ def count_sb(n: int, q: int) -> int:
     if n % q:
         return 0
     m = n // q
-    return math.factorial(n) // math.factorial(m) ** q
+    try:
+        return math.factorial(n) // math.factorial(m) ** q
+    except OverflowError:  # n past a machine word
+        raise CapacityError(f"an exact count needs {n}!, which is too large to compute") from None
 
 
 def count_cb(n: int, q: int) -> int:
@@ -378,7 +391,7 @@ def count_cpb(n: int, q: int) -> int:
         return count_cb(n, q)
     h = q // 2
     if q % 2 == 0:
-        return 0 if n % 2 else math.comb(n, n // 2) * charge_count(n, h, 0)
+        return 0 if n % 2 else _comb(n, n // 2) * charge_count(n, h, 0)
     squares = _halfsum_squares(h, n // 2)
     patterns = 1  # C(n, 2j) C(2j, j) = n! / ((n - 2j)! j! j!)
     total = 0
@@ -394,10 +407,7 @@ _COUNTERS = {"sb": count_sb, "cb": count_cb, "pb": count_pb, "cpb": count_cpb}
 def exact_count(kind: str, n: int, q: int) -> int:
     """Dispatch to the exact counter for kind in {'sb','cb','pb','cpb'}; a
     count with a binomial past what math.comb takes raises CapacityError."""
-    try:
-        return _COUNTERS[check_kind(kind)](n, q)
-    except OverflowError as exc:
-        raise CapacityError(f"the exact {kind} count at n={n}, q={q} is too large to compute") from exc
+    return _COUNTERS[check_kind(kind)](n, q)
 
 
 def exact_redundancy(kind: str, n: int, q: int) -> float:

@@ -248,21 +248,20 @@ HUGE = "100000000000000000000000000"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,needs",
     [
-        ["count", "--kind", "cb", "--q", "5", "--n", HUGE],
-        ["redundancy", "--kind", "cb", "--q", "5", "--n", HUGE],
-        ["sweep", "--kind", "cb", "--q", "5", "--start", HUGE, "--stop", HUGE],
-        ["count", "--kind", "cpb", "--q", "4", "--n", "99999999999999999999999998"],
+        (["count", "--kind", "cb", "--q", "5", "--n", HUGE], f"C({HUGE}, {4 * 10**25})"),
+        (["redundancy", "--kind", "cb", "--q", "5", "--n", HUGE], f"C({HUGE}, {4 * 10**25})"),
+        (["sweep", "--kind", "cb", "--q", "5", "--start", HUGE, "--stop", HUGE], f"C({HUGE}, {4 * 10**25})"),
+        (["count", "--kind", "cpb", "--q", "4", "--n", str(10**26 - 2)], f"C({10**26 - 2}, {5 * 10**25 - 1})"),
     ],
     ids=["count", "redundancy", "sweep", "count-cpb"],
 )
-def test_exact_count_past_comb_exits_2(capsys, argv):
+def test_exact_count_past_comb_exits_2(capsys, argv, needs):
     # a capacity error about the exact count, not the approximation's inf
-    kind, q, n = argv[2], argv[4], argv[-1]
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, out) == (2, "")
-    assert err == f"balancedq: the exact {kind} count at n={n}, q={q} is too large to compute\n"
+    assert err == f"balancedq: an exact count needs {needs}, which is too large to compute\n"
 
 
 #: Python's digit limit on int-to-text conversion (None before 3.10.7)

@@ -15,10 +15,13 @@ from balancedq.codecs import (
     Codeword,
     _indices,
     _mirror,
+    _off_side,
     _rotation,
     _shifted,
     _side_mask,
+    _struct,
     _tallies,
+    _translation,
     balancing_sequence,
     cb_encode,
     cpb_encode,
@@ -687,6 +690,7 @@ def test_malformed_codewords_raise_decode_error(kind, q, k):
 
 
 def test_symbol_caches_are_bounded():
-    tables = (_rotation, _shifted, _tallies, _mirror, _side_mask, _indices)
+    tables = (_rotation, _shifted, _tallies, _mirror, _side_mask, _translation, _off_side)
+    tables += (_indices, _struct)
     for cached in (symbols, sub_alphabet, _symbol_set, *tables):
         assert isinstance(cached.cache_info().maxsize, int)

@@ -153,13 +153,29 @@ def test_census_length_cap():
         joint_census(CENSUS_MAX_LENGTH + 1, 3)
 
 
-def test_exact_count_past_comb_is_a_capacity_error():
-    # a binomial of the count is past what math.comb takes: no OverflowError,
-    # which the CLI would read as the approximation's
-    with pytest.raises(CapacityError, match="exact cb count"):
-        exact_count("cb", 10**26, 5)
-    with pytest.raises(CapacityError, match="exact cpb count"):
-        exact_redundancy("cpb", 10**26 - 2, 4)
+@pytest.mark.parametrize(
+    "count,args,needs",
+    [
+        (exact_count, ("cb", 10**26, 5), f"C({10**26}, {4 * 10**25})"),
+        (exact_redundancy, ("cpb", 10**26 - 2, 4), f"C({10**26 - 2}, {5 * 10**25 - 1})"),
+        (charge_count, (10**26, 5), f"C({10**26}, {4 * 10**25})"),
+        (count_cb, (10**26, 5), f"C({10**26}, {4 * 10**25})"),
+        (count_pb, (10**26, 4), f"C({10**26}, {5 * 10**25})"),
+        (count_cpb, (10**26, 4), f"C({10**26}, {5 * 10**25})"),
+        (polarity_count, (10**26, 4), f"C({10**26}, {5 * 10**25})"),
+        (count_sb, (10**26, 4), f"{10**26}!"),
+    ],
+)
+def test_exact_count_past_comb_is_a_capacity_error(count, args, needs):
+    # a binomial or factorial of the count is past what math.comb and
+    # math.factorial take: no OverflowError, which the CLI would read as
+    # the approximation's
+    with pytest.raises(CapacityError) as raised:
+        count(*args)
+    assert str(raised.value) == f"an exact count needs {needs}, which is too large to compute"
+
+
+def test_a_parity_without_balanced_words_counts_zero_at_any_length():
     # a parity that admits no balanced word still counts 0
     assert exact_count("cpb", 10**26 - 1, 4) == exact_count("pb", 10**26 - 1, 4) == 0
 
