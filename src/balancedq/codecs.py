@@ -26,24 +26,27 @@ round the window; they differ in the positions the sequence covers and in
 the sub-alphabet window it rotates.
 
 The stages run on one of two word forms.  One rule, _form, picks it from
-(q, k) alone, and CodecParams keeps it:
+the construction and (q, k) alone, and CodecParams keeps it:
 
-- packed bytes, for a word of more than 64 symbols (sb's short-word bound)
-  over an alphabet of q <= 128, whose symbols all fit a signed byte.  A
-  cached Struct packs the validated word once, each symbol s as its code
-  s & 0xFF.  A table is a bytes.translate table of 256 slots indexed by the
-  code, cached under the tuple table's key, and each map costs a few
+- packed bytes, where they measured faster than tuples: sb at q <= 128 and
+  pb at odd q <= 127, for words of more than 64 symbols, and cpb at q <= 64
+  for words of at least 32q symbols.  A cached Struct packs the validated
+  word once, each symbol s as its code s & 0xFF, which needs q <= 128.  A
+  table is a bytes.translate table of 256 slots indexed by the code,
+  cached under the tuple table's key, and each map costs a few
   microseconds where a gather costs tens.  Every statistic reads
-  bytes.count of the codes: the pb offset, the pb, cb, cpb and sb
-  predicates, cpb's flags (the count of each symbol times its packed
-  tally, below), sb's round counts and its settle check.  Each
-  index search unpacks the translated signs or split weights once; the cb
-  search, and the pb search at q=2, whose symbols are their own signs,
-  read the validated tuple, and the cpb search reads the side's symbols,
-  which translate with the other codes deleted leaves.  The g-th side
-  position, a cut, bisects the side mask's running count.  The payload is
-  unpacked once at the end.  Packing and unpacking cost about as much as
-  two gathers, so a word of 64 symbols or fewer is faster as a tuple.
+  bytes.count of the codes: the pb offset, the pb, cpb and sb predicates,
+  cpb's flags (the count of each symbol times its packed tally, below),
+  sb's round counts and its settle check.  Each index search unpacks the
+  translated signs or split weights once; the pb search at q=2, whose
+  symbols are their own signs, reads the validated tuple, and the cpb
+  search reads the side's symbols, which translate with the other codes
+  deleted leaves.  The g-th side position, a cut, bisects the side mask's
+  running count.  The payload is unpacked once at the end.  Packing and
+  unpacking cost about as much as two gathers, which a short word does
+  not repay; cpb's tallies and side count one pass per symbol, so its
+  crossover grows with q.  knuth and cb gain nothing: q=2 has no offset
+  to map, and cb's search reads the tuple.
 - tuples, for every other word: a table is a tuple of 2q slots indexed by
   the symbol itself, a negative symbol s reading slot 2q + s, and one
   itemgetter call gathers a whole segment in C.  Each statistic is one
@@ -53,8 +56,8 @@ The stages run on one of two word forms.  One rule, _form, picks it from
   negative flags as the base-2**b digits of one int; with 2**b > k*(q-1)
   no digit of the sum carries into the next.
 
-Both forms give the same codewords; the tests force the tuple form through
-_form and hold the packed one to it.
+Both forms give the same codewords; the tests run pb, cpb and sb in both
+and hold the packed one to the tuple.
 
 Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
@@ -79,7 +82,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter
 from struct import Struct
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from .alphabet import Word, _sign, _symbol_set, is_cb, is_sb, sub_alphabet, symbols, validate_word
 from .codebook import (
@@ -130,7 +133,7 @@ class CodecParams:
 def _shared_params(kind: str, q: int, k: int) -> CodecParams:
     params = object.__new__(CodecParams)
     params.kind, params.q, params.k, params.plan = kind, q, k, plan(kind, q, k)
-    params.form = _form(q, k)
+    params.form = _form(kind, q, k)
     return params
 
 
@@ -212,16 +215,11 @@ def _side_mask(q: int, nu: str) -> tuple:
     return _tabulate(q, lambda s: s > 0 if nu == "+" else s < 0)
 
 
-def _tally(word: Word | bytes, q: int) -> Tuple[int, int, int, int]:
+def _tally(word: Word, q: int) -> Tuple[int, int, int, int]:
     """(charge, absolute sum, positive count, negative count) of a validated
-    word, from one gather and one sum; a packed word's sum weights each
-    symbol's digits by its count."""
+    word, from one gather and one sum."""
     b = (len(word) * (q - 1)).bit_length()  # the least b with 2**b > k*(q-1)
-    if type(word) is bytes:
-        syms = symbols(q)
-        total = sum(map(operator.mul, _gather(_tallies(q, b), syms), _byte_counts(word, syms)))
-    else:
-        total = sum(_gather(_tallies(q, b), word))
+    total = sum(_gather(_tallies(q, b), word))
     mask = (1 << b) - 1
     return total >> 3 * b, total >> 2 * b & mask, total >> b & mask, total & mask
 
@@ -231,18 +229,77 @@ def _is_pb(word: Word, q: int) -> bool:
     return not sum(_gather(_shifted(q, 0, _sign), word))
 
 
-def _is_cpb(word: Word | bytes, q: int) -> bool:
+def _is_cpb(word: Word | bytes, q: int, tally: Callable = _tally) -> bool:
     """is_cpb of a validated word, from its tallies."""
-    charge, _, plus, minus = _tally(word, q)
+    charge, _, plus, minus = tally(word, q)
     return not charge and plus == minus
+
+
+@lru_cache(maxsize=64)
+def _indices(k: int) -> tuple:
+    """tuple(range(k)): compress over it passes on ints that exist already,
+    where over range(k) it makes one for every index above 256."""
+    return tuple(range(k))
 
 
 # ---------------------------------------------------------------------------
 # word forms: the stages run on a tuple, or on a long word's signed bytes
 
-#: sb's short-word bound: up to this length a word keeps the tuple form, and
-#: sb's round statistics count one pass per symbol
+#: up to this length pb and sb words keep the tuple form, and a tuple's
+#: symbol counts take one pass per symbol
 _SHORT_WORD = 64
+
+
+def _counts(word: Word, syms: Sequence[int]) -> list:
+    """The copies of each of syms in word."""
+    # one C pass per symbol beats hashing every symbol once while the word
+    # or the symbols are few
+    if len(word) <= _SHORT_WORD or len(syms) <= 3:
+        return list(map(word.count, syms))
+    return list(map(Counter(word).get, syms, repeat(0)))
+
+
+def _positions(word: Word, q: int, nu: str) -> list:
+    """The positions of the nu side's symbols in word."""
+    return list(compress(_indices(len(word)), _gather(_side_mask(q, nu), word)))
+
+
+def _steps(word: Word, m_v: int, big_m: int) -> Iterator[int]:
+    """1 at each copy of m_v, -1 at each copy of big_m and 0 elsewhere; all
+    0 when the two are one symbol."""
+    weight = {m_v: 1, big_m: -1} if m_v != big_m else {}
+    return map(weight.get, word, repeat(0))
+
+
+class _Form(_Record):
+    """What the payload stages take from one word form: packing, the maps
+    and their table builders, the count of one symbol and of several, the
+    cpb tallies, the positions of a cpb side and the symbols at them, the
+    sb split steps, and the payload predicates of a validated word.  The
+    tuple form's pack and unpack are tuple, which hands a tuple back as it
+    is."""
+
+    __slots__ = ("pack", "unpack", "gather", "rotation", "shifted", "mirror", "count")
+    __slots__ += ("counts", "tally", "positions", "at", "steps", "balanced")
+
+
+#: The tuple form: a word is a tuple of ints and a table a tuple of 2q
+#: slots, applied by _gather.  The reference of the packed form.
+_TUPLES = _Form(
+    pack=tuple,
+    unpack=tuple,
+    gather=_gather,
+    rotation=_rotation,
+    shifted=_shifted,
+    mirror=_mirror,
+    count=lambda word, s: word.count(s),
+    counts=_counts,
+    tally=_tally,
+    positions=_positions,
+    at=_gather,
+    steps=_steps,
+    balanced={"sb": is_sb, "cb": is_cb, "pb": _is_pb, "cpb": _is_cpb},
+)
 
 
 @lru_cache(maxsize=64)
@@ -266,14 +323,30 @@ def _off_side(q: int, nu: str) -> bytes:
     return bytes(s & 0xFF for s in symbols(q) if not (s > 0 if nu == "+" else s < 0))
 
 
+def _byte_counts(word: bytes, syms: Sequence[int]) -> list:
+    """The copies of each of syms in a packed word."""
+    return [word.count(s & 0xFF) for s in syms]
+
+
+def _byte_tally(word: bytes, q: int) -> Tuple[int, int, int, int]:
+    """_tally of a packed word, each symbol's digits weighted by its count."""
+    b = (len(word) * (q - 1)).bit_length()
+    syms = symbols(q)
+    total = sum(map(operator.mul, _gather(_tallies(q, b), syms), _byte_counts(word, syms)))
+    mask = (1 << b) - 1
+    return total >> 3 * b, total >> 2 * b & mask, total >> b & mask, total & mask
+
+
 class _PackedSide:
-    """The positions of one side's symbols in a packed word, read off its
-    0/1 mask: len counts them and [g] bisects for the g-th, without a list."""
+    """The positions of the nu side's symbols in a packed word, read off its
+    0/1 mask: len counts them and [g] bisects for the g-th, without a list.
+    off holds the codes of the other symbols."""
 
     __slots__ = ("mask", "off", "size")
 
-    def __init__(self, mask: bytes, off: bytes) -> None:
-        self.mask, self.off, self.size = mask, off, mask.count(1)
+    def __init__(self, word: bytes, q: int, nu: str) -> None:
+        self.mask = word.translate(_translation(_side_mask, q, nu))
+        self.off, self.size = _off_side(q, nu), self.mask.count(1)
 
     def __len__(self) -> int:
         return self.size
@@ -284,48 +357,17 @@ class _PackedSide:
         return bisect_left(range(len(self.mask) + 1), g + 1, key=held) - 1
 
 
-class _Form(_Record):
-    """What the payload stages take from one word form: packing, the map
-    and its table builders, a symbol's count, the symbols at some positions,
-    and the payload predicates for a validated word.  For the tuple form
-    these are the functions its stages call anyway, and pack and unpack
-    are tuple, which hands a tuple back as it is."""
-
-    __slots__ = (
-        "pack", "unpack", "gather", "rotation", "shifted", "mirror", "count", "at", "balanced"
-    )
-
-
-#: The tuple form: a word is a tuple of ints and a table a tuple of 2q
-#: slots, applied by _gather.  The only form of short words and of q > 128,
-#: and the reference of the packed one.
-_TUPLES = _Form(
-    pack=tuple,
-    unpack=tuple,
-    gather=_gather,
-    rotation=_rotation,
-    shifted=_shifted,
-    mirror=_mirror,
-    count=tuple.count,
-    at=_gather,
-    balanced={"sb": is_sb, "cb": is_cb, "pb": _is_pb, "cpb": _is_cpb},
-)
-
-
-def _byte_counts(word: bytes, syms: Sequence[int]) -> list:
-    """The copies of each of syms in a packed word."""
-    return [word.count(s & 0xFF) for s in syms]
-
-
 def _byte_at(word: bytes, positions: _PackedSide) -> list:
     """The symbols of a packed word on the side of positions, as ints."""
     return array("b", word.translate(None, positions.off)).tolist()
 
 
-def _byte_is_cb(word: bytes, q: int) -> bool:
-    """is_cb of a packed word, from the count of each symbol's code."""
-    syms = symbols(q)
-    return not sum(map(operator.mul, syms, _byte_counts(word, syms)))
+def _byte_steps(word: bytes, m_v: int, big_m: int) -> tuple:
+    """_steps of a packed word, from one translate and one unpack."""
+    weights = bytearray(256)
+    if m_v != big_m:
+        weights[m_v & 0xFF], weights[big_m & 0xFF] = 1, 0xFF
+    return _struct(len(word)).unpack(word.translate(weights))
 
 
 def _byte_is_pb(word: bytes, q: int) -> bool:
@@ -334,9 +376,15 @@ def _byte_is_pb(word: bytes, q: int) -> bool:
     return signs.count(1) == signs.count(0xFF)
 
 
+def _byte_is_sb(word: bytes, q: int) -> bool:
+    """is_sb of a packed word, from the count of each symbol's code."""
+    return all(c * q == len(word) for c in _byte_counts(word, symbols(q)))
+
+
 #: The packed form: a word is the bytes of its symbols' codes s & 0xFF,
 #: packed once by a cached Struct, and a table a bytes.translate table of
-#: 256 slots, built from the tuple table of the same key.
+#: 256 slots, built from the tuple table of the same key.  pb, cpb and sb
+#: run on it; knuth and cb keep tuples.
 _BYTES = _Form(
     pack=lambda word: _struct(len(word)).pack(*word),
     unpack=lambda word: _struct(len(word)).unpack(word),
@@ -345,22 +393,26 @@ _BYTES = _Form(
     shifted=partial(_translation, _shifted),
     mirror=partial(_translation, _mirror),
     count=lambda word, s: word.count(s & 0xFF),
+    counts=_byte_counts,
+    tally=_byte_tally,
+    positions=_PackedSide,
     at=_byte_at,
-    balanced={
-        "sb": lambda word, q: all(c * q == len(word) for c in _byte_counts(word, symbols(q))),
-        "cb": _byte_is_cb,
-        "pb": _byte_is_pb,
-        "cpb": _is_cpb,
-    },
+    steps=_byte_steps,
+    balanced={"sb": _byte_is_sb, "pb": _byte_is_pb, "cpb": partial(_is_cpb, tally=_byte_tally)},
 )
 
 
-def _form(q: int, k: int) -> _Form:
-    """The one rule that picks the form of a length-k word of the order-q
-    alphabet: packed bytes when every symbol fits a signed byte (q <= 128)
-    and the word is long enough for the packing to pay (more than
-    _SHORT_WORD symbols), else the tuple."""
-    return _BYTES if q <= 128 and k > _SHORT_WORD else _TUPLES
+def _form(kind: str, q: int, k: int) -> _Form:
+    """The one rule that picks the form of a construction's length-k words
+    over the order-q alphabet: packed bytes where they measured faster than
+    tuples, else the tuple.  That is sb at q <= 128 and pb at odd q <= 127,
+    from k = 65 on, and cpb at q <= 64 from k = 32q on (see the module
+    docstring)."""
+    if kind == "cpb":
+        packed = q <= 64 and k >= 32 * q
+    else:
+        packed = k > _SHORT_WORD and q <= 128 and (kind == "sb" or kind == "pb" and q % 2 == 1)
+    return _BYTES if packed else _TUPLES
 
 
 def _map_cut(
@@ -398,18 +450,15 @@ def _flip(u: Word | bytes, q: int, z: int, form: _Form = _TUPLES) -> Word | byte
     return form.gather(form.shifted(q, 0, operator.neg), u[:z]) + u[z:]
 
 
-def find_pb_offset(u: Sequence[int], q: int) -> int:
+def find_pb_offset(u: Sequence[int] | bytes, q: int, form: _Form = _TUPLES) -> int:
     """Smallest symbol a whose count in u has the parity of k (odd q only).
 
     Subtracting such an a leaves an even number of nonzero symbols, which
-    the polarity inversion stage needs.  u may be a packed word.
+    the polarity inversion stage needs.  u is a word of the given form.
     """
-    packed = type(u) is bytes
-    if not packed:
-        u = tuple(u)
     k = len(u)
     for a in symbols(q):
-        if u.count(a & 0xFF if packed else a) % 2 == k % 2:
+        if form.count(u, a) % 2 == k % 2:
             return a
     raise BalancingInvariantError("no feasible offset symbol found")
 
@@ -451,7 +500,7 @@ def _pb_stage(
         if a is not None:
             raise InvalidIndexError("offset symbols only apply to odd q")
     elif a is None:
-        a = find_pb_offset(word, q)
+        a = find_pb_offset(word, q, form)
     elif a not in _symbol_set(q):
         raise InvalidIndexError(f"offset a={a} is not a symbol of the order-{q} alphabet")
     elif form.count(word, a) % 2 != k % 2:
@@ -507,17 +556,15 @@ def knuth_encode(
 ) -> Tuple[Codeword, KnuthSide]:
     """pb_encode at q=2, with its side info as KnuthSide."""
     u = _checked_payload(u, params, "knuth")
-    form = params.form
-    balanced, _, z = _pb_stage(u, 2, params.k, None, z, form, "balance")
+    balanced, _, z = _pb_stage(u, 2, params.k, None, z, _TUPLES, "balance")
     side = KnuthSide(z)
-    return Codeword(encode_prefix(side, params.plan), form.unpack(balanced)), side
+    return Codeword(encode_prefix(side, params.plan), balanced), side
 
 
 def knuth_decode(cw: Codeword, params: CodecParams) -> Word:
     """pb_decode at q=2."""
-    form = params.form
     side, payload = _checked_prefix(cw, params, "knuth")
-    return form.unpack(_pb_unstage(payload, 2, side.z, None, form))
+    return _pb_unstage(payload, 2, side.z, None)
 
 
 # ---------------------------------------------------------------------------
@@ -575,23 +622,19 @@ def cb_encode(
 ) -> Tuple[Codeword, CbSide]:
     u = _checked_payload(u, params, "cb")
     q, k = params.q, params.k
-    form = params.form
     if z is None:
         z = find_cb_index(u, q)
-    payload = None
-    if 0 <= z < q * k:
-        payload = _add_sequence(form.pack(u), q, range(k), -q + 1, 2 * q, z, 1, form)
-    if payload is None or not form.balanced["cb"](payload, q):
+    payload = _add_sequence(u, q, range(k), -q + 1, 2 * q, z) if 0 <= z < q * k else None
+    if payload is None or not is_cb(payload, q):
         raise InvalidIndexError(f"z={z} does not charge-balance this word")
     side = CbSide(z)
-    return Codeword(encode_prefix(side, params.plan), form.unpack(payload)), side
+    return Codeword(encode_prefix(side, params.plan), payload), side
 
 
 def cb_decode(cw: Codeword, params: CodecParams) -> Word:
-    q, k = params.q, params.k
-    form = params.form
     side, payload = _checked_prefix(cw, params, "cb")
-    return form.unpack(_add_sequence(payload, q, range(k), -q + 1, 2 * q, side.z, -1, form))
+    q = params.q
+    return _add_sequence(payload, q, range(params.k), -q + 1, 2 * q, side.z, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -604,24 +647,13 @@ def _side(
     """Positions of the nu side's symbols in word, and the lowest symbol and
     the modulus of that half-alphabet."""
     lo = 1 + q % 2 if nu == "+" else -q + 1
-    if form is _BYTES:
-        positions = _PackedSide(word.translate(_translation(_side_mask, q, nu)), _off_side(q, nu))
-    else:
-        positions = list(compress(_indices(len(word)), _gather(_side_mask(q, nu), word)))
-    return positions, lo, 2 * (q // 2)
+    return form.positions(word, q, nu), lo, 2 * (q // 2)
 
 
-@lru_cache(maxsize=64)
-def _indices(k: int) -> tuple:
-    """tuple(range(k)): compress over it passes on ints that exist already,
-    where over range(k) it makes one for every index above 256."""
-    return tuple(range(k))
-
-
-def _cpb_flags(y: Word | bytes, q: int) -> Tuple[int, str, int]:
+def _cpb_flags(y: Word | bytes, q: int, form: _Form = _TUPLES) -> Tuple[int, str, int]:
     """The mirror flag xi and the side nu that the joint construction derives
     from its polarity-balanced word y, and the sum that balances that side."""
-    charge, abs_sum, k1, _ = _tally(y, q)
+    charge, abs_sum, k1, _ = form.tally(y, q)
     pos_sum = (abs_sum + charge) // 2
     neg_sum = abs_sum - pos_sum
     pivot = k1 * ((q + 1) // 2)
@@ -639,13 +671,14 @@ def _cpb_w_space(q: int, k1: int) -> int:
     return max((q // 2) * k1, 1)
 
 
-def find_cpb_index(word: Word | bytes, q: int, window: tuple, target: int) -> int:
+def find_cpb_index(
+    word: Word | bytes, q: int, window: tuple, target: int, form: _Form = _TUPLES
+) -> int:
     """Smallest w whose balancing sequence drives the sum of one side's
     symbols to target; window is that side's (positions, lo, mod), as _side
-    gives it for word, which may be packed."""
+    gives it for word, a word of the given form."""
     positions, lo, mod = window
-    cur = _byte_at(word, positions) if type(word) is bytes else _gather(word, positions)
-    return _find_sequence(cur, lo, mod, target)
+    return _find_sequence(form.at(word, positions), lo, mod, target)
 
 
 def cpb_encode(
@@ -661,7 +694,7 @@ def cpb_encode(
     q, k = params.q, params.k
     form = params.form
     y, a, z = _pb_stage(u, q, k, a, z, form)
-    flags = _cpb_flags(y, q)
+    flags = _cpb_flags(y, q, form)
     # xi and nu are derived, not free; injected values must agree
     if xi is not None and xi != flags[0]:
         raise InvalidIndexError(f"xi={xi} does not match the derived flag {flags[0]}")
@@ -673,7 +706,7 @@ def cpb_encode(
     positions, lo, mod = window = _side(y, q, nu, form)
     w_space = _cpb_w_space(q, len(positions))
     if w is None:
-        w = find_cpb_index(y, q, window, target)
+        w = find_cpb_index(y, q, window, target, form)
     elif not 0 <= w < w_space:
         raise InvalidIndexError(f"w={w} outside 0..{w_space - 1}")
     payload = _add_sequence(y, q, positions, lo, mod, w, 1, form)
@@ -692,7 +725,7 @@ def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
     if side.xi:
         word = form.gather(form.mirror(q), word)
     # encode derives xi and nu from the word before the mirror
-    if side.w >= _cpb_w_space(q, len(positions)) or _cpb_flags(word, q)[:2] != (side.xi, side.nu):
+    if side.w >= _cpb_w_space(q, len(positions)) or _cpb_flags(word, q, form)[:2] != (side.xi, side.nu):
         raise DecodeError(f"side info {side} was not produced for this payload")
     return form.unpack(_pb_unstage(word, q, side.z, side.a, form))
 
@@ -705,14 +738,7 @@ def _sb_round_stats(word: Word | bytes, q: int, v: int, form: _Form = _TUPLES) -
     """(least, most) frequent symbols of round v's sub-alphabet; ties take
     the smallest symbol for the minimum and the largest for the maximum."""
     sub = sub_alphabet(q, v)
-    if form is _BYTES:
-        counts = _byte_counts(word, sub)
-    # one C pass per symbol beats hashing every symbol once while the word
-    # or the sub-alphabet is short
-    elif len(word) <= _SHORT_WORD or len(sub) <= 3:
-        counts = list(map(word.count, sub))
-    else:
-        counts = list(map(Counter(word).get, sub, repeat(0)))
+    counts = form.counts(word, sub)
     return sub[counts.index(min(counts))], sub[len(sub) - 1 - counts[::-1].index(max(counts))]
 
 
@@ -738,22 +764,16 @@ def _sb_round(
     return _map_cut(word, i_v, first, rest, form)
 
 
-def find_sb_split(word: Word | bytes, q: int, v: int, m: int, m_v: int, big_m: int) -> int:
+def find_sb_split(
+    word: Word | bytes, q: int, v: int, m: int, m_v: int, big_m: int, form: _Form = _TUPLES
+) -> int:
     """Smallest split i_v in [0, k] that leaves exactly m copies of the
     round's lowest symbol after the rotation; m_v and big_m are the round's
-    least and most frequent symbols, as _sb_round_stats gives them.  word
-    may be packed."""
+    least and most frequent symbols, as _sb_round_stats gives them for
+    word, a word of the given form."""
     # split i moves the copies of m_v before i and of big_m from i on to
     # the lowest symbol; when the two are one symbol, no split moves a count
-    if type(word) is bytes:
-        weights = bytearray(256)
-        if m_v != big_m:
-            weights[m_v & 0xFF], weights[big_m & 0xFF] = 1, 0xFF
-        steps = _BYTES.unpack(word.translate(weights))
-        counts = accumulate(steps, initial=word.count(big_m & 0xFF))
-    else:
-        weight = {m_v: 1, big_m: -1} if m_v != big_m else {}
-        counts = accumulate(map(weight.get, word, repeat(0)), initial=word.count(big_m))
+    counts = accumulate(form.steps(word, m_v, big_m), initial=form.count(word, big_m))
     try:
         return operator.indexOf(counts, m)
     except ValueError:
@@ -777,7 +797,7 @@ def sb_encode(
     for v in range(1, q):
         m_v, big_m = _sb_round_stats(word, q, v, form)
         if splits is None:
-            i_v = find_sb_split(word, q, v, m, m_v, big_m)
+            i_v = find_sb_split(word, q, v, m, m_v, big_m, form)
         else:
             i_v = splits[v - 1]
             if not 0 <= i_v <= k:

@@ -1,10 +1,11 @@
 """The packed-byte word form against the tuple form.
 
-Words longer than 64 symbols of an alphabet with q <= 128 run their payload
-stages on signed bytes; every other word keeps the tuple form, which these
-tests force through the one selection rule, codecs._form, and use as the
-reference.  Both forms must give the same codeword, side info and decoded
-word, or raise the same exception with the same message.
+pb, cpb and sb run their payload stages on signed bytes where the one
+selection rule, codecs._form, finds that faster, and on tuples elsewhere.
+These tests force each form through that rule for every pb, cpb and sb word
+of q <= 128, and hold the packed form to the tuple one: both must give the
+same codeword, side info and decoded word, or raise the same exception with
+the same message.
 """
 
 import random
@@ -24,12 +25,21 @@ KS = (64, 65, 66, 130, 512)
 KINDS = ("knuth", "pb", "cb", "cpb", "sb")
 
 
+#: the constructions that can run on packed bytes
+PACKABLE = ("pb", "cpb", "sb")
+
+
 @contextmanager
-def tuple_form():
-    """Every word keeps the tuple form inside.  Params hold the form the
-    rule gave them, so the shared ones are made anew on each side."""
+def forced(form):
+    """Inside, every pb, cpb and sb word of q <= 128 takes the given form,
+    and every other word the tuple.  Params hold the form the rule gave
+    them, so the shared ones are made anew on each side."""
+
+    def rule(kind, q, k):
+        return form if kind in PACKABLE and q <= 128 else codecs._TUPLES
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codecs, "_form", lambda q, k: codecs._TUPLES)
+        patch.setattr(codecs, "_form", rule)
         codecs._shared_params.cache_clear()
         try:
             yield
@@ -58,8 +68,9 @@ def decoded(cw, case):
 def same_in_both_forms(call, *args):
     """call's outcome, the same in both forms; call makes its params from
     a (kind, q, k) case."""
-    packed = outcome(call, *args)
-    with tuple_form():
+    with forced(codecs._BYTES):
+        packed = outcome(call, *args)
+    with forced(codecs._TUPLES):
         assert outcome(call, *args) == packed, args
     return packed
 
@@ -81,6 +92,30 @@ def cases():
             out += [(kind, q, k) for k in ks if feasible(kind, q, k)]
     out += [(kind, q, 1024) for kind in ("pb", "cb", "cpb") for q in (127, 128, 129)]
     return out
+
+
+@pytest.mark.parametrize(
+    "kind,q,k,packed",
+    [
+        ("knuth", 2, 2048, False),
+        ("cb", 7, 2048, False),
+        ("pb", 3, 64, False),
+        ("pb", 3, 65, True),
+        ("pb", 4, 2048, False),
+        ("pb", 127, 1024, True),
+        ("pb", 129, 1024, False),
+        ("cpb", 4, 126, False),
+        ("cpb", 4, 128, True),
+        ("cpb", 7, 512, True),
+        ("cpb", 64, 2048, True),
+        ("cpb", 65, 2080, False),
+        ("sb", 4, 64, False),
+        ("sb", 3, 66, True),
+        ("sb", 128, 128, True),
+    ],
+)
+def test_the_rule_packs_only_where_bytes_measured_faster(kind, q, k, packed):
+    assert (CodecParams(kind, q, k).form is codecs._BYTES) == packed
 
 
 def words(q, k):
@@ -124,8 +159,10 @@ def injects(side, q, k):
 
 @pytest.mark.parametrize("kind,q,k", cases())
 def test_both_forms_give_the_same_codewords(kind, q, k):
-    assert (CodecParams(kind, q, k).form is codecs._BYTES) == (q <= 128 and k > 64)
-    with tuple_form():
+    packable = kind in PACKABLE and q <= 128
+    with forced(codecs._BYTES):
+        assert (CodecParams(kind, q, k).form is codecs._BYTES) == packable
+    with forced(codecs._TUPLES):
         assert CodecParams(kind, q, k).form is codecs._TUPLES
     for j, u in enumerate(words(q, k)):
         got = same_in_both_forms(roundtrip, u, (kind, q, k))
