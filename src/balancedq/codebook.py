@@ -263,15 +263,20 @@ def _pack(side: SideInfo, prefix_plan: PrefixPlan) -> int:
     width = len(spec.fields)
     if len(items) != len(digits) or (spec.rounds and {len(g) for g in side.rounds} != {width}):
         raise InvalidIndexError(f"expected {len(digits) // width} group(s) of {width} values")
-    value = 0
     for (f, values), item in zip(digits, items):
         try:
-            digit = values.index(item)
-            if type(values[digit]) is not type(item):  # True, 1.0: equal, but refused
+            if type(values[values.index(item)]) is not type(item):  # True, 1.0: equal, but refused
                 raise ValueError
         except ValueError:
             raise InvalidIndexError(f"{f.name}={item!r} is not one of {values!r}") from None
-        value = value * len(values) + digit
+    return _value(items, digits)
+
+
+def _value(items: Sequence, digits: tuple) -> int:
+    """The mixed-radix value of side-info items, each one of its digit's values."""
+    value = 0
+    for (_, values), item in zip(digits, items):
+        value = value * len(values) + values.index(item)
     return value
 
 
@@ -398,9 +403,16 @@ def _unrank(index: int, n: int, kind: str, q: int) -> Word:
     return tuple(out)
 
 
-def encode_prefix(side: SideInfo, prefix_plan: PrefixPlan) -> Word:
-    """Spell side info as a balanced word of the planned prefix length."""
-    value = _pack(side, prefix_plan)
+def encode_prefix(side: SideInfo, prefix_plan: PrefixPlan, checked: bool = True) -> Word:
+    """Spell side info as a balanced word of the planned prefix length.
+
+    checked=False skips pack's checks of the side info, which the encoders
+    build from values they have checked themselves.
+    """
+    if checked:
+        value = _pack(side, prefix_plan)
+    else:
+        value = _value(prefix_plan.spec.items(side), prefix_plan.digits)
     return _unrank(value, prefix_plan.length, prefix_plan.spec.balance, prefix_plan.q)
 
 

@@ -26,38 +26,47 @@ round the window; they differ in the positions the sequence covers and in
 the sub-alphabet window it rotates.
 
 The stages run on one of two word forms.  One rule, _form, picks it from
-the construction and (q, k) alone, and CodecParams keeps it:
+the construction and (q, k) alone, and CodecParams keeps it.  A word enters
+the stages only through its form's pack, which validates it as it converts
+it, and leaves through unpack:
 
-- packed bytes, where they measured faster than tuples: sb at q <= 128 and
-  pb at odd q <= 127, for words of more than 64 symbols, and cpb at q <= 64
-  for words of at least 32q symbols.  A cached Struct packs the validated
-  word once, each symbol s as its code s & 0xFF, which needs q <= 128.  A
-  table is a bytes.translate table of 256 slots indexed by the code,
-  cached under the tuple table's key, and each map costs a few
+- packed bytes, where they measured faster than tuples: pb and sb at
+  q <= 128 from k = 65, cb at q <= 128 from k = 192, knuth from k = 256,
+  and cpb at q <= 64 from k = 32q.  A cached Struct packs the word, each
+  symbol s as its code s & 0xFF, which needs q <= 128.  The pack is the
+  alphabet check: a type pass refuses every item that is not an int (True,
+  int subclasses, __index__ objects), the Struct any int outside -128..127,
+  and deleting the alphabet's codes with bytes.translate must leave
+  nothing; a word that fails goes to validate_word, so the error is the
+  tuple form's.  A table is a bytes.translate table of 256 slots indexed by
+  the code, cached under the tuple table's key, and each map costs a few
   microseconds where a gather costs tens.  Every statistic reads
-  bytes.count of the codes: the pb offset, the pb, cpb and sb predicates,
-  cpb's flags (the count of each symbol times its packed tally, below),
-  sb's round counts and its settle check.  Each index search unpacks the
-  translated signs or split weights once; the pb search at q=2, whose
-  symbols are their own signs, reads the validated tuple, and the cpb
-  search reads the side's symbols, which translate with the other codes
-  deleted leaves.  The g-th side position, a cut, bisects the side mask's
-  running count.  The payload is unpacked once at the end.  Packing and
-  unpacking cost about as much as two gathers, which a short word does
-  not repay; cpb's tallies and side count one pass per symbol, so its
-  crossover grows with q.  knuth and cb gain nothing: q=2 has no offset
-  to map, and cb's search reads the tuple.
-- tuples, for every other word: a table is a tuple of 2q slots indexed by
-  the symbol itself, a negative symbol s reading slot 2q + s, and one
-  itemgetter call gathers a whole segment in C.  Each statistic is one
-  gather and one sum: the pb search and predicate sum signs, at odd q read
-  through the offset, and cpb's flags and predicate sum a packed table
-  whose slot holds a symbol's charge, absolute value and positive and
-  negative flags as the base-2**b digits of one int; with 2**b > k*(q-1)
-  no digit of the sum carries into the next.
+  bytes.count of the codes: the charge, the pb offset, the pb, cb, cpb and
+  sb predicates, cpb's flags (the count of each symbol times its packed
+  tally, below), sb's round counts and its settle check.  Each index search
+  unpacks translated bytes once: the signs or split weights, or for cb and
+  cpb, per block of sequences, each window symbol's step (kept in halves,
+  so that the wrap's step fits a signed byte); the pb search at q=2, whose
+  symbols are their own signs, unpacks the word.  The cpb side's symbols
+  are the word translated with the other codes deleted, and the g-th side
+  position, a cut, bisects the side mask's running count.  The payload is
+  unpacked once at the end.  Packing and unpacking cost about as much as
+  two gathers, which a short word does not repay; cpb's tallies and side
+  count one pass per symbol, so its crossover grows with q; cb's search,
+  which often stops inside its first block, translates whole blocks; and
+  knuth's stages at q=2 have no offset map for packing to save.
+- tuples, for every other word: the pack is validate_word.  A table is a
+  tuple of 2q slots indexed by the symbol itself, a negative symbol s
+  reading slot 2q + s, and one itemgetter call gathers a whole segment in
+  C.  Each statistic is one gather and one sum: the pb search and
+  predicate sum signs, at odd q read through the offset, and cpb's flags
+  and predicate sum a packed table whose slot holds a symbol's charge,
+  absolute value and positive and negative flags as the base-2**b digits
+  of one int; with 2**b > k*(q-1) no digit of the sum carries into the
+  next.  A search steps lazily, symbol by symbol.
 
-Both forms give the same codewords; the tests run pb, cpb and sb in both
-and hold the packed one to the tuple.
+Both forms give the same codewords and raise the same errors; the tests run
+every construction in both and hold the packed one to the tuple.
 
 Every encoder returns the payload plus a side-info record; the prefix is
 the side info spelled as a balanced word (see codebook, whose SPECS give
@@ -75,13 +84,12 @@ encoder's functions.
 from __future__ import annotations
 
 import operator
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter
-from struct import Struct
+from operator import countOf, itemgetter
+from struct import Struct, error as StructError
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from .alphabet import Word, _sign, _symbol_set, is_cb, is_sb, sub_alphabet, symbols, validate_word
@@ -264,6 +272,13 @@ def _positions(word: Word, q: int, nu: str) -> list:
     return list(compress(_indices(len(word)), _gather(_side_mask(q, nu), word)))
 
 
+def _block(cur: Sequence[int], q: int, top: int, mod: int) -> Iterator[int]:
+    """Half the step in the sum of the window symbols cur from each balancing
+    sequence of a block to the next: 1, save at each copy of top, which wraps
+    round the window of mod/2 symbols and steps by 1 - mod/2."""
+    return map({top: 1 - mod // 2}.get, cur, repeat(1))
+
+
 def _steps(word: Word, m_v: int, big_m: int) -> Iterator[int]:
     """1 at each copy of m_v, -1 at each copy of big_m and 0 elsewhere; all
     0 when the two are one symbol."""
@@ -272,31 +287,35 @@ def _steps(word: Word, m_v: int, big_m: int) -> Iterator[int]:
 
 
 class _Form(_Record):
-    """What the payload stages take from one word form: packing, the maps
-    and their table builders, the count of one symbol and of several, the
-    cpb tallies, the positions of a cpb side and the symbols at them, the
-    sb split steps, and the payload predicates of a validated word.  The
-    tuple form's pack and unpack are tuple, which hands a tuple back as it
-    is."""
+    """What the payload stages take from one word form: pack, which checks a
+    word against the alphabet as it converts it, and unpack, the maps and
+    their table builders, the charge of a validated word, the count of one
+    symbol and of several, the cpb tallies, the positions of a cpb side and
+    the symbols at them, the steps of a block of balancing sequences and of
+    an sb split, and the payload predicates.  The tuple form's unpack is
+    tuple, which hands a tuple back as it is."""
 
-    __slots__ = ("pack", "unpack", "gather", "rotation", "shifted", "mirror", "count")
-    __slots__ += ("counts", "tally", "positions", "at", "steps", "balanced")
+    __slots__ = ("pack", "unpack", "gather", "rotation", "shifted", "mirror", "charge", "count")
+    __slots__ += ("counts", "tally", "positions", "at", "block", "steps", "balanced")
 
 
 #: The tuple form: a word is a tuple of ints and a table a tuple of 2q
-#: slots, applied by _gather.  The reference of the packed form.
+#: slots, applied by _gather.  The reference of the packed form.  Its pack
+#: reads validate_word at each call, so that a rebound name is used.
 _TUPLES = _Form(
-    pack=tuple,
+    pack=lambda word, q: validate_word(word, q),
     unpack=tuple,
     gather=_gather,
     rotation=_rotation,
     shifted=_shifted,
     mirror=_mirror,
+    charge=lambda word, q: sum(word),
     count=lambda word, s: word.count(s),
     counts=_counts,
     tally=_tally,
     positions=_positions,
     at=_gather,
+    block=_block,
     steps=_steps,
     balanced={"sb": is_sb, "cb": is_cb, "pb": _is_pb, "cpb": _is_cpb},
 )
@@ -318,14 +337,42 @@ def _translation(tabled: Callable[..., tuple], q: int, *key) -> bytes:
 
 
 @lru_cache(maxsize=1024)
-def _off_side(q: int, nu: str) -> bytes:
-    """The codes of the symbols off the nu side, which bytes.translate deletes."""
-    return bytes(s & 0xFF for s in symbols(q) if not (s > 0 if nu == "+" else s < 0))
+def _codes(q: int, nu: Optional[str] = None) -> bytes:
+    """The codes of the order-q symbols, or of those off the nu side, which
+    bytes.translate deletes."""
+    return bytes(s & 0xFF for s in symbols(q) if not (nu == "+" and s > 0 or nu == "-" and s < 0))
+
+
+def _byte_pack(word: Sequence[int], q: int) -> bytes:
+    """validate_word of a word whose symbols fit a signed byte, packed.
+
+    The type pass refuses True, int subclasses and __index__ objects, the
+    Struct an int outside -128..127, and deleting the codes of the alphabet
+    leaves nothing only if every other int is a symbol.  A word that fails
+    goes to validate_word, which raises its error.
+    """
+    w = tuple(word)
+    if countOf(map(type, w), int) == len(w):
+        try:
+            packed = _struct(len(w)).pack(*w)
+        except StructError:
+            pass
+        else:
+            if not packed.translate(None, _codes(q)):
+                return packed
+    # raises the error of the first foreign symbol
+    return _struct(len(w)).pack(*validate_word(w, q))
 
 
 def _byte_counts(word: bytes, syms: Sequence[int]) -> list:
     """The copies of each of syms in a packed word."""
     return [word.count(s & 0xFF) for s in syms]
+
+
+def _byte_charge(word: bytes, q: int) -> int:
+    """The symbol sum of a packed word, from the count of each symbol's code."""
+    syms = symbols(q)
+    return sum(map(operator.mul, syms, _byte_counts(word, syms)))
 
 
 def _byte_tally(word: bytes, q: int) -> Tuple[int, int, int, int]:
@@ -346,7 +393,7 @@ class _PackedSide:
 
     def __init__(self, word: bytes, q: int, nu: str) -> None:
         self.mask = word.translate(_translation(_side_mask, q, nu))
-        self.off, self.size = _off_side(q, nu), self.mask.count(1)
+        self.off, self.size = _codes(q, nu), self.mask.count(1)
 
     def __len__(self) -> int:
         return self.size
@@ -357,9 +404,14 @@ class _PackedSide:
         return bisect_left(range(len(self.mask) + 1), g + 1, key=held) - 1
 
 
-def _byte_at(word: bytes, positions: _PackedSide) -> list:
-    """The symbols of a packed word on the side of positions, as ints."""
-    return array("b", word.translate(None, positions.off)).tolist()
+def _half_steps(q: int, top: int, mod: int) -> tuple:
+    """The table of _block's steps: top to 1 - mod/2, every other symbol to 1."""
+    return _tabulate(q, lambda s: 1 - mod // 2 if s == top else 1)
+
+
+def _byte_block(cur: bytes, q: int, top: int, mod: int) -> tuple:
+    """_block of packed window symbols, from one translate and one unpack."""
+    return _struct(len(cur)).unpack(cur.translate(_translation(_half_steps, q, top, mod)))
 
 
 def _byte_steps(word: bytes, m_v: int, big_m: int) -> tuple:
@@ -383,36 +435,41 @@ def _byte_is_sb(word: bytes, q: int) -> bool:
 
 #: The packed form: a word is the bytes of its symbols' codes s & 0xFF,
 #: packed once by a cached Struct, and a table a bytes.translate table of
-#: 256 slots, built from the tuple table of the same key.  pb, cpb and sb
-#: run on it; knuth and cb keep tuples.
+#: 256 slots, built from the tuple table of the same key.
 _BYTES = _Form(
-    pack=lambda word: _struct(len(word)).pack(*word),
+    pack=_byte_pack,
     unpack=lambda word: _struct(len(word)).unpack(word),
     gather=lambda table, word: word.translate(table),
     rotation=partial(_translation, _rotation),
     shifted=partial(_translation, _shifted),
     mirror=partial(_translation, _mirror),
+    charge=_byte_charge,
     count=lambda word, s: word.count(s & 0xFF),
     counts=_byte_counts,
     tally=_byte_tally,
     positions=_PackedSide,
-    at=_byte_at,
+    at=lambda word, positions: word.translate(None, positions.off),
+    block=_byte_block,
     steps=_byte_steps,
-    balanced={"sb": _byte_is_sb, "pb": _byte_is_pb, "cpb": partial(_is_cpb, tally=_byte_tally)},
+    balanced={
+        "sb": _byte_is_sb,
+        "cb": lambda word, q: not _byte_charge(word, q),
+        "pb": _byte_is_pb,
+        "cpb": partial(_is_cpb, tally=_byte_tally),
+    },
 )
 
 
 def _form(kind: str, q: int, k: int) -> _Form:
     """The one rule that picks the form of a construction's length-k words
     over the order-q alphabet: packed bytes where they measured faster than
-    tuples, else the tuple.  That is sb at q <= 128 and pb at odd q <= 127,
-    from k = 65 on, and cpb at q <= 64 from k = 32q on (see the module
-    docstring)."""
+    tuples, else the tuple.  That is pb and sb at q <= 128 from k = 65 on,
+    cb at q <= 128 from k = 192 on, knuth from k = 256 on, and cpb at
+    q <= 64 from k = 32q on (see the module docstring)."""
     if kind == "cpb":
-        packed = q <= 64 and k >= 32 * q
-    else:
-        packed = k > _SHORT_WORD and q <= 128 and (kind == "sb" or kind == "pb" and q % 2 == 1)
-    return _BYTES if packed else _TUPLES
+        return _BYTES if q <= 64 and k >= 32 * q else _TUPLES
+    least = {"knuth": 256, "cb": 192}.get(kind, _SHORT_WORD + 1)
+    return _BYTES if q <= 128 and k >= least else _TUPLES
 
 
 def _map_cut(
@@ -485,7 +542,7 @@ def find_knuth_index(u: Sequence[int]) -> int:
 
 
 def _pb_stage(
-    u: Word,
+    word: Word | bytes,
     q: int,
     k: int,
     a: Optional[int],
@@ -493,9 +550,8 @@ def _pb_stage(
     form: _Form = _TUPLES,
     goal: str = "polarity-balance",
 ) -> Tuple[Word | bytes, Optional[int], int]:
-    """Shared offset-and-flip stage of a validated word u, run on its given
-    form; returns (balanced word, a, z)."""
-    word = form.pack(u)
+    """Shared offset-and-flip stage of a validated word of the given form;
+    returns (balanced word, a, z)."""
     if q % 2 == 0:
         if a is not None:
             raise InvalidIndexError("offset symbols only apply to odd q")
@@ -508,8 +564,8 @@ def _pb_stage(
     d = 0 if a is None else -a
     searched = z is None
     if searched:  # at q=2 the symbols are their own signs
-        signs = u if q == 2 else form.unpack(form.gather(form.shifted(q, d, _sign), word))
-        z = find_pb_index(signs, 2)
+        signs = word if q == 2 else form.gather(form.shifted(q, d, _sign), word)
+        z = find_pb_index(form.unpack(signs), 2)
     if 0 <= z < k:
         if a is None:
             y = _flip(word, q, z, form)
@@ -538,11 +594,11 @@ def pb_encode(
     a: Optional[int] = None,
     z: Optional[int] = None,
 ) -> Tuple[Codeword, PbSide]:
-    u = _checked_payload(u, params, "pb")
     form = params.form
-    balanced, a, z = _pb_stage(u, params.q, params.k, a, z, form)
+    word = _checked_payload(u, params, "pb")
+    balanced, a, z = _pb_stage(word, params.q, params.k, a, z, form)
     side = PbSide(z, a)
-    return Codeword(encode_prefix(side, params.plan), form.unpack(balanced)), side
+    return Codeword(encode_prefix(side, params.plan, checked=False), form.unpack(balanced)), side
 
 
 def pb_decode(cw: Codeword, params: CodecParams) -> Word:
@@ -555,16 +611,18 @@ def knuth_encode(
     u: Sequence[int], params: CodecParams, z: Optional[int] = None
 ) -> Tuple[Codeword, KnuthSide]:
     """pb_encode at q=2, with its side info as KnuthSide."""
-    u = _checked_payload(u, params, "knuth")
-    balanced, _, z = _pb_stage(u, 2, params.k, None, z, _TUPLES, "balance")
+    form = params.form
+    word = _checked_payload(u, params, "knuth")
+    balanced, _, z = _pb_stage(word, 2, params.k, None, z, form, "balance")
     side = KnuthSide(z)
-    return Codeword(encode_prefix(side, params.plan), balanced), side
+    return Codeword(encode_prefix(side, params.plan, checked=False), form.unpack(balanced)), side
 
 
 def knuth_decode(cw: Codeword, params: CodecParams) -> Word:
     """pb_decode at q=2."""
+    form = params.form
     side, payload = _checked_prefix(cw, params, "knuth")
-    return _pb_unstage(payload, 2, side.z, None)
+    return form.unpack(_pb_unstage(payload, 2, side.z, None, form))
 
 
 # ---------------------------------------------------------------------------
@@ -595,46 +653,55 @@ def _add_sequence(
     return _map_cut(word, positions[g], first, rest, form)
 
 
-def _find_sequence(cur: Word, lo: int, mod: int, target: int) -> int:
+def _find_sequence(
+    cur: Sequence[int] | bytes, q: int, lo: int, mod: int, target: int, form: _Form = _TUPLES
+) -> int:
     """Smallest z whose balancing sequence, added as in _add_sequence to the
-    window symbols cur, brings their sum to target."""
+    window symbols cur, a word of the given form, brings their sum to target."""
     # sequence z = j*n + g of block j adds 2 more on its first g positions
     # than sequence j*n, save where the symbol lo + mod - 2 - 2j wraps round
     # the window and moves by 2 - mod; j*n + n is the next block's g = 0, so
-    # the sums of the sequences in order are one running sum, one pass per block
-    twos = repeat(2)
-    wraps = ({s: 2 - mod}.get for s in range(lo + mod - 2, lo - 2, -2))
-    running = accumulate(chain.from_iterable(map(step, cur, twos) for step in wraps), initial=sum(cur))
-    try:
-        return operator.indexOf(running, target)
-    except ValueError:
-        pass
+    # the sums of the sequences in order are one running sum, one pass per
+    # block, kept in halves so that every step fits a signed byte
+    gap = target - form.charge(cur, q)
+    if gap % 2 == 0:
+        blocks = (form.block(cur, q, top, mod) for top in range(lo + mod - 2, lo - 2, -2))
+        try:
+            return operator.indexOf(accumulate(chain.from_iterable(blocks), initial=0), gap // 2)
+        except ValueError:
+            pass
     raise BalancingInvariantError("no balancing sequence reaches the target sum")
 
 
-def find_cb_index(u: Sequence[int], q: int) -> int:
-    """Smallest z in [0, q*k) whose balancing sequence zeroes the charge."""
-    return _find_sequence(tuple(u), -q + 1, 2 * q, 0)
+def find_cb_index(u: Sequence[int] | bytes, q: int, form: _Form = _TUPLES) -> int:
+    """Smallest z in [0, q*k) whose balancing sequence zeroes the charge of
+    u, a word of the given form."""
+    return _find_sequence(u, q, -q + 1, 2 * q, 0, form)
 
 
 def cb_encode(
     u: Sequence[int], params: CodecParams, z: Optional[int] = None
 ) -> Tuple[Codeword, CbSide]:
-    u = _checked_payload(u, params, "cb")
     q, k = params.q, params.k
+    form = params.form
+    word = _checked_payload(u, params, "cb")
     if z is None:
-        z = find_cb_index(u, q)
-    payload = _add_sequence(u, q, range(k), -q + 1, 2 * q, z) if 0 <= z < q * k else None
-    if payload is None or not is_cb(payload, q):
+        z = find_cb_index(word, q, form)
+    payload = (
+        _add_sequence(word, q, range(k), -q + 1, 2 * q, z, 1, form) if 0 <= z < q * k else None
+    )
+    if payload is None or not form.balanced["cb"](payload, q):
         raise InvalidIndexError(f"z={z} does not charge-balance this word")
     side = CbSide(z)
-    return Codeword(encode_prefix(side, params.plan), payload), side
+    return Codeword(encode_prefix(side, params.plan, checked=False), form.unpack(payload)), side
 
 
 def cb_decode(cw: Codeword, params: CodecParams) -> Word:
-    side, payload = _checked_prefix(cw, params, "cb")
     q = params.q
-    return _add_sequence(payload, q, range(params.k), -q + 1, 2 * q, side.z, -1)
+    form = params.form
+    side, payload = _checked_prefix(cw, params, "cb")
+    word = _add_sequence(payload, q, range(params.k), -q + 1, 2 * q, side.z, -1, form)
+    return form.unpack(word)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +745,7 @@ def find_cpb_index(
     symbols to target; window is that side's (positions, lo, mod), as _side
     gives it for word, a word of the given form."""
     positions, lo, mod = window
-    return _find_sequence(form.at(word, positions), lo, mod, target)
+    return _find_sequence(form.at(word, positions), q, lo, mod, target, form)
 
 
 def cpb_encode(
@@ -690,10 +757,9 @@ def cpb_encode(
     xi: Optional[int] = None,
     nu: Optional[str] = None,
 ) -> Tuple[Codeword, CpbSide]:
-    u = _checked_payload(u, params, "cpb")
     q, k = params.q, params.k
     form = params.form
-    y, a, z = _pb_stage(u, q, k, a, z, form)
+    y, a, z = _pb_stage(_checked_payload(u, params, "cpb"), q, k, a, z, form)
     flags = _cpb_flags(y, q, form)
     # xi and nu are derived, not free; injected values must agree
     if xi is not None and xi != flags[0]:
@@ -710,10 +776,10 @@ def cpb_encode(
     elif not 0 <= w < w_space:
         raise InvalidIndexError(f"w={w} outside 0..{w_space - 1}")
     payload = _add_sequence(y, q, positions, lo, mod, w, 1, form)
-    if sum(form.at(payload, positions)) != target:
+    if form.charge(form.at(payload, positions), q) != target:
         raise InvalidIndexError(f"w={w} does not balance the {nu} side")
     side = CpbSide(z, xi, nu, w, a)
-    return Codeword(encode_prefix(side, params.plan), form.unpack(payload)), side
+    return Codeword(encode_prefix(side, params.plan, checked=False), form.unpack(payload)), side
 
 
 def cpb_decode(cw: Codeword, params: CodecParams) -> Word:
@@ -784,15 +850,14 @@ def find_sb_split(
 def sb_encode(
     u: Sequence[int], params: CodecParams, splits: Optional[Sequence[int]] = None
 ) -> Tuple[Codeword, SbSide]:
-    u = _checked_payload(u, params, "sb")
     q, k = params.q, params.k
     form = params.form
+    word = _checked_payload(u, params, "sb")
     m = k // q
     if splits is not None:
         splits = tuple(splits)
         if len(splits) != q - 1:
             raise InvalidIndexError(f"expected {q - 1} splits, got {len(splits)}")
-    word = form.pack(u)
     rounds = []
     for v in range(1, q):
         m_v, big_m = _sb_round_stats(word, q, v, form)
@@ -808,7 +873,7 @@ def sb_encode(
             raise InvalidIndexError(f"round {v}: split {i_v} does not settle symbol {lowest}")
         rounds.append((i_v, m_v, big_m))
     side = SbSide(tuple(rounds))
-    return Codeword(encode_prefix(side, params.plan), form.unpack(word)), side
+    return Codeword(encode_prefix(side, params.plan, checked=False), form.unpack(word)), side
 
 
 def sb_decode(cw: Codeword, params: CodecParams) -> Word:
@@ -828,13 +893,15 @@ def sb_decode(cw: Codeword, params: CodecParams) -> Word:
 # dispatch
 
 
-def _checked_payload(u: Sequence[int], params: CodecParams, kind: str) -> Word:
+def _checked_payload(u: Sequence[int], params: CodecParams, kind: str) -> Word | bytes:
+    """The data word u, checked against the alphabet and the length, in the
+    params' form."""
     if params.kind != kind:
         raise InfeasibleParamsError(f"params are for {params.kind!r}, not {kind!r}")
-    u = validate_word(u, params.q)
-    if len(u) != params.k:
-        raise InfeasibleParamsError(f"expected a length-{params.k} word, got {len(u)}")
-    return u
+    word = params.form.pack(u, params.q)
+    if len(word) != params.k:
+        raise InfeasibleParamsError(f"expected a length-{params.k} word, got {len(word)}")
+    return word
 
 
 def _checked_prefix(
@@ -845,16 +912,15 @@ def _checked_prefix(
     form; raises DecodeError otherwise."""
     if params.kind != kind:
         raise InfeasibleParamsError(f"params are for {params.kind!r}, not {kind!r}")
+    form = params.form
     try:
-        payload = validate_word(cw.payload, params.q)
+        payload = form.pack(cw.payload, params.q)
         if len(payload) != params.k:
             raise DecodeError(f"expected a length-{params.k} payload, got {len(payload)}")
         side = decode_prefix(cw.prefix, params.plan)  # rank validates the prefix
     except (AlphabetError, InvalidIndexError, TypeError) as exc:
         raise DecodeError(str(exc)) from exc
     balance = params.plan.spec.balance
-    form = params.form
-    payload = form.pack(payload)
     if not form.balanced[balance](payload, params.q):
         raise DecodeError(f"payload is not {balance}-balanced")
     return side, payload

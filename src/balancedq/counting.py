@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import threading
 from functools import lru_cache
 from operator import add, mul, sub
@@ -69,14 +70,17 @@ def _check_sum(name: str, value: int) -> None:
         raise InfeasibleParamsError(f"{name} must be an int, got {value!r}")
 
 
+def _too_large(n: int, k: int) -> CapacityError:
+    return CapacityError(f"an exact count needs C({n}, {k}), which is too large to compute")
+
+
 def _comb(n: int, k: int) -> int:
     """math.comb(n, k), which refuses k and n - k both past a machine word;
     a count that needs such a binomial raises CapacityError."""
     try:
         return math.comb(n, k)
     except OverflowError:
-        message = f"an exact count needs C({n}, {k}), which is too large to compute"
-        raise CapacityError(message) from None
+        raise _too_large(n, k) from None
 
 
 def _charge_step(prev: Tuple[int, ...], q: int) -> Tuple[int, ...]:
@@ -153,6 +157,8 @@ def polarity_count(n: int, q: int, polarity: int = 0) -> int:
         return 0 if (n + p) % 2 else _comb(n, (n + p) // 2) * h**n
     # terms from jp = p upwards; each step moves two zeros to one +, one -
     jm, z = 0, n - p
+    if z > sys.maxsize:  # a walk past a machine word of terms would not end
+        raise _too_large(n, (n + p) // 2)
     term = _comb(n, p) * h**p
     total = term
     while z >= 2:
@@ -276,6 +282,8 @@ def joint_count(n: int, q: int, charge: int = 0, polarity: int = 0) -> int:
     # each step moves two zeros to one +, one -
     jp, jm = max(polarity, 0), max(-polarity, 0)
     z = n - jp - jm
+    if z > sys.maxsize:  # a walk past a machine word of terms would not end
+        raise _too_large(n, (n + abs(polarity)) // 2)
     pick = _comb(n, z)  # n!/(jp! jm! z!)
     total = 0
     while z >= 0:

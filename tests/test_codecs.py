@@ -13,9 +13,9 @@ from balancedq.codebook import CpbSide, balance_kind, encode_prefix, plan, side_
 from balancedq.codecs import (
     CodecParams,
     Codeword,
+    _codes,
     _indices,
     _mirror,
-    _off_side,
     _rotation,
     _shifted,
     _side_mask,
@@ -690,7 +690,7 @@ def test_malformed_codewords_raise_decode_error(kind, q, k):
 
 
 def test_symbol_caches_are_bounded():
-    tables = (_rotation, _shifted, _tallies, _mirror, _side_mask, _translation, _off_side)
+    tables = (_rotation, _shifted, _tallies, _mirror, _side_mask, _translation, _codes)
     tables += (_indices, _struct)
     for cached in (symbols, sub_alphabet, _symbol_set, *tables):
         assert isinstance(cached.cache_info().maxsize, int)

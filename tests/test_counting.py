@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -164,15 +165,22 @@ def test_census_length_cap():
         (count_cpb, (10**26, 4), f"C({10**26}, {5 * 10**25})"),
         (polarity_count, (10**26, 4), f"C({10**26}, {5 * 10**25})"),
         (count_sb, (10**26, 4), f"{10**26}!"),
+        # odd q walks its n/2 pattern terms, and a joint count at any q
+        (count_pb, (10**26, 5), f"C({10**26}, {5 * 10**25})"),
+        (polarity_count, (10**26 + 1, 7, 3), f"C({10**26 + 1}, {5 * 10**25 + 2})"),
+        (joint_count, (10**26, 5), f"C({10**26}, {5 * 10**25})"),
+        (joint_count, (10**26, 4, 0, -2), f"C({10**26}, {5 * 10**25 + 1})"),
     ],
 )
 def test_exact_count_past_comb_is_a_capacity_error(count, args, needs):
     # a binomial or factorial of the count is past what math.comb and
     # math.factorial take: no OverflowError, which the CLI would read as
     # the approximation's
+    start = time.perf_counter()
     with pytest.raises(CapacityError) as raised:
         count(*args)
     assert str(raised.value) == f"an exact count needs {needs}, which is too large to compute"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_a_parity_without_balanced_words_counts_zero_at_any_length():

@@ -1,11 +1,13 @@
 """The packed-byte word form against the tuple form.
 
-pb, cpb and sb run their payload stages on signed bytes where the one
+Every construction runs its payload stages on signed bytes where the one
 selection rule, codecs._form, finds that faster, and on tuples elsewhere.
-These tests force each form through that rule for every pb, cpb and sb word
-of q <= 128, and hold the packed form to the tuple one: both must give the
-same codeword, side info and decoded word, or raise the same exception with
-the same message.
+These tests force each form through that rule for every word of q <= 128,
+and hold the packed form to the tuple one: both must give the same
+codeword, side info and decoded word, or raise the same exception with the
+same message.  The packed form checks a word against the alphabet in the
+pass that packs it, so foreign symbols are held to the tuple form's
+validate_word too.
 """
 
 import random
@@ -19,24 +21,21 @@ from balancedq import codecs
 from balancedq.alphabet import sub_alphabet, symbols
 from balancedq.codebook import CpbSide, PbSide, SbSide, encode_prefix
 from balancedq.codecs import CodecParams, Codeword, decode, encode
-from balancedq.errors import BalancedqError, DecodeError, InfeasibleParamsError
+from balancedq.errors import AlphabetError, BalancedqError, DecodeError, InfeasibleParamsError
+from test_codecs import FOREIGN
 
 KS = (64, 65, 66, 130, 512)
 KINDS = ("knuth", "pb", "cb", "cpb", "sb")
 
 
-#: the constructions that can run on packed bytes
-PACKABLE = ("pb", "cpb", "sb")
-
-
 @contextmanager
 def forced(form):
-    """Inside, every pb, cpb and sb word of q <= 128 takes the given form,
-    and every other word the tuple.  Params hold the form the rule gave
-    them, so the shared ones are made anew on each side."""
+    """Inside, every word of q <= 128 takes the given form, and every other
+    word the tuple.  Params hold the form the rule gave them, so the shared
+    ones are made anew on each side."""
 
     def rule(kind, q, k):
-        return form if kind in PACKABLE and q <= 128 else codecs._TUPLES
+        return form if q <= 128 else codecs._TUPLES
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codecs, "_form", rule)
@@ -97,12 +96,18 @@ def cases():
 @pytest.mark.parametrize(
     "kind,q,k,packed",
     [
-        ("knuth", 2, 2048, False),
-        ("cb", 7, 2048, False),
+        ("knuth", 2, 254, False),
+        ("knuth", 2, 256, True),
+        ("cb", 7, 191, False),
+        ("cb", 7, 192, True),
+        ("cb", 128, 192, True),
+        ("cb", 129, 2048, False),
         ("pb", 3, 64, False),
         ("pb", 3, 65, True),
-        ("pb", 4, 2048, False),
+        ("pb", 4, 64, False),
+        ("pb", 4, 66, True),
         ("pb", 127, 1024, True),
+        ("pb", 128, 66, True),
         ("pb", 129, 1024, False),
         ("cpb", 4, 126, False),
         ("cpb", 4, 128, True),
@@ -159,9 +164,8 @@ def injects(side, q, k):
 
 @pytest.mark.parametrize("kind,q,k", cases())
 def test_both_forms_give_the_same_codewords(kind, q, k):
-    packable = kind in PACKABLE and q <= 128
     with forced(codecs._BYTES):
-        assert (CodecParams(kind, q, k).form is codecs._BYTES) == packable
+        assert (CodecParams(kind, q, k).form is codecs._BYTES) == (q <= 128)
     with forced(codecs._TUPLES):
         assert CodecParams(kind, q, k).form is codecs._TUPLES
     for j, u in enumerate(words(q, k)):
@@ -181,6 +185,57 @@ def test_cpb_with_an_empty_side_in_both_forms(q):
     for w in (1, 2):
         prefix = encode_prefix(CpbSide(0, 0, "+", w, -q + 1), CodecParams(*case).plan)
         assert same_in_both_forms(decoded, Codeword(prefix, cw.payload), case)[0] is DecodeError
+
+
+# ---------------------------------------------------------------------------
+# foreign symbols: the packed form's check in its pack against validate_word
+
+
+class Int(int):
+    """A plain int subclass, which the alphabet refuses like True."""
+
+
+class Index:
+    """An object with __index__, which a Struct would pack as its int."""
+
+    def __index__(self):
+        return 1
+
+    def __repr__(self):
+        return "Index()"
+
+
+def foreign(q):
+    """Each value that is no symbol of the order-q alphabet and that a
+    packed check could let through: the codec tests' foreign values, an int
+    subclass, an __index__ object, the ints just past a signed byte and
+    past a machine word, every int in [-2q, -q) and every int of the wrong
+    parity up to q."""
+    values = [*FOREIGN, Int(q - 1), Index(), 128, -128, 2**70]
+    values += [*range(-2 * q, -q), *range(-q, q + 1, 2)]
+    return [x for x in values if type(x) is not int or x not in symbols(q)]
+
+
+FOREIGN_CASES = [(kind, 2, 256) for kind in ("knuth", "pb", "cb")]
+FOREIGN_CASES += [(kind, q, 130) for kind in ("pb", "cb", "cpb") for q in (4, 5)]
+FOREIGN_CASES += [("sb", 3, 129), ("sb", 5, 130), ("pb", 127, 130), ("cb", 128, 192)]
+
+
+@pytest.mark.parametrize("kind,q,k", FOREIGN_CASES)
+def test_foreign_symbols_raise_as_the_tuple_form_does(kind, q, k):
+    u = tuple(random.Random(f"foreign:{kind}:{q}").choices(symbols(q), k=k))
+    with forced(codecs._BYTES):
+        params = CodecParams(kind, q, k)
+        assert params.form is codecs._BYTES
+        cw, _ = encode(u, params)
+    for bad in foreign(q):
+        for i in (0, k // 2, k - 1):
+            word = u[:i] + (bad,) + u[i + 1 :]
+            raised = same_in_both_forms(roundtrip, word, (kind, q, k))
+            assert raised[0] is AlphabetError, (bad, i, raised)
+            payload = cw.payload[:i] + (bad,) + cw.payload[i + 1 :]
+            raised = same_in_both_forms(decoded, Codeword(cw.prefix, payload), (kind, q, k))
+            assert raised[0] is DecodeError and repr(bad) in raised[1], (bad, i, raised)
 
 
 # ---------------------------------------------------------------------------
