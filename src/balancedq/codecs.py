@@ -30,31 +30,37 @@ the construction and (q, k) alone, and CodecParams keeps it.  A word enters
 the stages only through its form's pack, which validates it as it converts
 it, and leaves through unpack:
 
-- packed bytes, where they measured faster than tuples: pb and sb at
-  q <= 128 from k = 65, cb at q <= 128 from k = 192, knuth from k = 256,
-  and cpb at q <= 64 from k = 32q.  A cached Struct packs the word, each
-  symbol s as its code s & 0xFF, which needs q <= 128.  The pack is the
-  alphabet check: a type pass refuses every item that is not an int (True,
-  int subclasses, __index__ objects), the Struct any int outside -128..127,
-  and deleting the alphabet's codes with bytes.translate must leave
-  nothing; a word that fails goes to validate_word, so the error is the
-  tuple form's.  A table is a bytes.translate table of 256 slots indexed by
-  the code, cached under the tuple table's key, and each map costs a few
-  microseconds where a gather costs tens.  Every statistic reads
-  bytes.count of the codes: the charge, the pb offset, the pb, cb, cpb and
-  sb predicates, cpb's flags (the count of each symbol times its packed
-  tally, below), sb's round counts and its settle check.  Each index search
-  unpacks translated bytes once: the signs or split weights, or for cb and
-  cpb, per block of sequences, each window symbol's step (kept in halves,
-  so that the wrap's step fits a signed byte); the pb search at q=2, whose
-  symbols are their own signs, unpacks the word.  The cpb side's symbols
-  are the word translated with the other codes deleted, and the g-th side
-  position, a cut, bisects the side mask's running count.  The payload is
-  unpacked once at the end.  Packing and unpacking cost about as much as
-  two gathers, which a short word does not repay; cpb's tallies and side
-  count one pass per symbol, so its crossover grows with q; cb's search,
-  which often stops inside its first block, translates whole blocks; and
-  knuth's stages at q=2 have no offset map for packing to save.
+- packed bytes, where they measured faster than tuples; _form holds the
+  bounds, and the form_grid of BENCH_32.json the measurements they come
+  from.  A cached Struct packs the word, each symbol s as its code s & 0xFF,
+  which needs q <= 128.  The pack is the alphabet check: a type pass refuses
+  every item that is not an int (True, int subclasses, __index__ objects),
+  the Struct any int outside -128..127, and deleting the alphabet's codes
+  with bytes.translate must leave nothing; a word that fails goes to
+  validate_word, so the error is the tuple form's.  A table is a
+  bytes.translate table of 256 slots indexed by the code, cached under the
+  tuple table's key, and each map costs a few microseconds where a gather
+  costs tens.  Every statistic reads bytes.count of the codes: the charge,
+  the pb offset, the pb, cb, cpb and sb predicates, cpb's flags (the count
+  of each symbol times its packed tally, below), sb's round counts and its
+  settle check.  Each index search unpacks translated bytes once: the signs
+  or split weights, or for cb and cpb, per block of sequences, each window
+  symbol's step (kept in halves, so that the wrap's step fits a signed
+  byte); the pb search at q=2, whose symbols are their own signs, unpacks
+  the word.  The cpb side's symbols are the word translated with the other
+  codes deleted, and the g-th side position, a cut, bisects the side mask's
+  running count.  The payload is unpacked once at the end.  Packing and
+  unpacking cost about as much as two gathers, a fixed cost per word that a
+  short word repays only where its stages make many passes: sb, whose q-1
+  rounds each count, search and map the word, packs from the shortest word,
+  and pb only once its search and maps outweigh the pack.  A wide alphabet
+  costs the byte form per round or per symbol: sb's rounds need about q*q
+  rotation tables, more than the table caches hold, so a run of different
+  words builds each round's tables again, and the byte form a translate
+  table on top of each tuple one, which only a long word repays; cpb's
+  tallies and side count one pass per symbol, so its crossover grows with q;
+  cb's search, which often stops inside its first block, translates whole
+  blocks; and knuth's stages at q=2 have no offset map for packing to save.
 - tuples, for every other word: the pack is validate_word.  A table is a
   tuple of 2q slots indexed by the symbol itself, a negative symbol s
   reading slot 2q + s, and one itemgetter call gathers a whole segment in
@@ -251,18 +257,13 @@ def _indices(k: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# word forms: the stages run on a tuple, or on a long word's signed bytes
-
-#: up to this length pb and sb words keep the tuple form, and a tuple's
-#: symbol counts take one pass per symbol
-_SHORT_WORD = 64
-
+# word forms: the stages run on a tuple, or on the word's signed bytes
 
 def _counts(word: Word, syms: Sequence[int]) -> list:
     """The copies of each of syms in word."""
-    # one C pass per symbol beats hashing every symbol once while the word
-    # or the symbols are few
-    if len(word) <= _SHORT_WORD or len(syms) <= 3:
+    # one C pass per symbol beats hashing every symbol once while the
+    # symbols are few
+    if len(syms) <= 3:
         return list(map(word.count, syms))
     return list(map(Counter(word).get, syms, repeat(0)))
 
@@ -435,9 +436,10 @@ def _byte_is_sb(word: bytes, q: int) -> bool:
 
 #: The packed form: a word is the bytes of its symbols' codes s & 0xFF,
 #: packed once by a cached Struct, and a table a bytes.translate table of
-#: 256 slots, built from the tuple table of the same key.
+#: 256 slots, built from the tuple table of the same key.  Its pack reads
+#: _byte_pack at each call, as the tuple form's reads validate_word.
 _BYTES = _Form(
-    pack=_byte_pack,
+    pack=lambda word, q: _byte_pack(word, q),
     unpack=lambda word: _struct(len(word)).unpack(word),
     gather=lambda table, word: word.translate(table),
     rotation=partial(_translation, _rotation),
@@ -463,12 +465,16 @@ _BYTES = _Form(
 def _form(kind: str, q: int, k: int) -> _Form:
     """The one rule that picks the form of a construction's length-k words
     over the order-q alphabet: packed bytes where they measured faster than
-    tuples, else the tuple.  That is pb and sb at q <= 128 from k = 65 on,
-    cb at q <= 128 from k = 192 on, knuth from k = 256 on, and cpb at
-    q <= 64 from k = 32q on (see the module docstring)."""
+    tuples, else the tuple.  That is sb at every k for q <= 40 and at
+    q <= 128 from k = 10q on, pb at q <= 128 from k = 48 on, cb at q <= 128
+    from k = 192 on, knuth from k = 256 on, and cpb at q <= 64 from k = 32q
+    on.  The module docstring says why; the form_grid of BENCH_32.json, and
+    of BENCH_29.json and BENCH_30.json before it, holds the measurements."""
+    if kind == "sb":
+        return _BYTES if q <= 40 or q <= 128 and k >= 10 * q else _TUPLES
     if kind == "cpb":
         return _BYTES if q <= 64 and k >= 32 * q else _TUPLES
-    least = {"knuth": 256, "cb": 192}.get(kind, _SHORT_WORD + 1)
+    least = {"knuth": 256, "cb": 192, "pb": 48}[kind]
     return _BYTES if q <= 128 and k >= least else _TUPLES
 
 

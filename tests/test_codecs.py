@@ -646,14 +646,18 @@ def test_warm_roundtrip_checks_once_per_word(monkeypatch, kind, q, k):
     record_calls(monkeypatch, codebook, "_check_construction_params", calls)
     for owner in (codecs, codebook):
         record_calls(monkeypatch, owner, "validate_word", calls)
+    # the byte form checks a word in the pass that packs it
+    record_calls(monkeypatch, codecs, "_byte_pack", calls)
     for name in ("is_pb", "is_cpb"):
         for owner in (alphabet, codecs):
             if hasattr(owner, name):
                 record_calls(monkeypatch, owner, name, calls)
     roundtrip(kind, q, k)
-    # the data word, the payload, and the prefix (in rank); no triple check,
-    # and the payload predicate gathers the codec's own sign table
-    assert calls == ["validate_word"] * 3
+    # the data word and the payload, each in its form's pack, and the prefix
+    # (in rank); no triple check, and the payload predicate gathers the
+    # codec's own sign table
+    check = "_byte_pack" if CodecParams(kind, q, k).form is codecs._BYTES else "validate_word"
+    assert calls == [check, check, "validate_word"]
 
 
 def test_cached_triples_do_not_answer_for_bools_and_floats():

@@ -25,6 +25,7 @@ from balancedq.errors import AlphabetError, BalancedqError, DecodeError, Infeasi
 from test_codecs import FOREIGN
 
 KS = (64, 65, 66, 130, 512)
+SHORT_KS = (8, 16, 32)
 KINDS = ("knuth", "pb", "cb", "cpb", "sb")
 
 
@@ -82,14 +83,22 @@ def feasible(kind, q, k):
 
 
 def cases():
-    """(kind, q, k) for every construction at q in 2..9 and each k of KS,
-    sb at the multiples of q next to them."""
+    """(kind, q, k) for every construction at q in 2..9 and each k of KS;
+    pb also at k = 2 and each k of SHORT_KS, and sb instead at k = q, 2q and
+    the multiples of q next to each k of SHORT_KS and KS.  Then the widest
+    alphabets, and an sb word of a wide alphabet that the rule keeps on
+    tuples."""
     out = []
     for kind in KINDS:
         for q in range(2, 10):
-            ks = KS if kind != "sb" else sorted({q * (k // q + up) for k in KS for up in (0, 1)})
-            out += [(kind, q, k) for k in ks if feasible(kind, q, k)]
+            ks = set(KS)
+            if kind == "pb":
+                ks |= {2, *SHORT_KS}
+            if kind == "sb":
+                ks = {q, 2 * q} | {q * (k // q + up) for k in SHORT_KS + KS for up in (0, 1)} - {0}
+            out += [(kind, q, k) for k in sorted(ks) if feasible(kind, q, k)]
     out += [(kind, q, 1024) for kind in ("pb", "cb", "cpb") for q in (127, 128, 129)]
+    out += [("sb", 96, 96)]
     return out
 
 
@@ -102,21 +111,27 @@ def cases():
         ("cb", 7, 192, True),
         ("cb", 128, 192, True),
         ("cb", 129, 2048, False),
-        ("pb", 3, 64, False),
-        ("pb", 3, 65, True),
-        ("pb", 4, 64, False),
-        ("pb", 4, 66, True),
+        ("pb", 3, 47, False),
+        ("pb", 3, 48, True),
+        ("pb", 4, 46, False),
+        ("pb", 4, 48, True),
         ("pb", 127, 1024, True),
-        ("pb", 128, 66, True),
+        ("pb", 128, 48, True),
         ("pb", 129, 1024, False),
         ("cpb", 4, 126, False),
         ("cpb", 4, 128, True),
         ("cpb", 7, 512, True),
         ("cpb", 64, 2048, True),
         ("cpb", 65, 2080, False),
-        ("sb", 4, 64, False),
-        ("sb", 3, 66, True),
-        ("sb", 128, 128, True),
+        ("sb", 2, 2, True),
+        ("sb", 4, 16, True),
+        ("sb", 40, 40, True),
+        ("sb", 41, 41, False),
+        ("sb", 96, 96, False),
+        ("sb", 96, 864, False),
+        ("sb", 96, 960, True),
+        ("sb", 128, 1280, True),
+        ("sb", 129, 1290, False),
     ],
 )
 def test_the_rule_packs_only_where_bytes_measured_faster(kind, q, k, packed):
@@ -219,6 +234,7 @@ def foreign(q):
 FOREIGN_CASES = [(kind, 2, 256) for kind in ("knuth", "pb", "cb")]
 FOREIGN_CASES += [(kind, q, 130) for kind in ("pb", "cb", "cpb") for q in (4, 5)]
 FOREIGN_CASES += [("sb", 3, 129), ("sb", 5, 130), ("pb", 127, 130), ("cb", 128, 192)]
+FOREIGN_CASES += [("sb", 2, 2), ("sb", 4, 16), ("pb", 5, 48)]
 
 
 @pytest.mark.parametrize("kind,q,k", FOREIGN_CASES)
